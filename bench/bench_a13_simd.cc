@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "core/csv.hh"
-#include "core/parallel.hh"
 #include "core/rng.hh"
 #include "core/simd/simd.hh"
 #include "fingerprint/capture.hh"
@@ -344,7 +343,6 @@ runSweep()
                 simd::compiledBackendName(), simd::activeBackendName());
 
     fp::clearGaborKernelCache();
-    core::setParallelThreads(1); // isolate kernels from the pool
     const Workload w = buildWorkload();
     std::printf("workload: %zu enrolled views, %zu pre-captured "
                 "queries (96x96), single-threaded\n\n",
@@ -413,7 +411,6 @@ runSweep()
                            "x"});
     stageTable.print();
 
-    core::setParallelThreads(0); // back to auto
     writeJson(modes, stages, identical, speedup);
 }
 
@@ -422,7 +419,6 @@ BM_SimdOp(benchmark::State &state)
 {
     static const Workload w = buildWorkload();
     simd::setForceScalar(state.range(0) == 0);
-    core::setParallelThreads(1);
     std::size_t i = 0;
     for (auto _ : state) {
         auto out =
@@ -430,7 +426,6 @@ BM_SimdOp(benchmark::State &state)
         benchmark::DoNotOptimize(out);
     }
     simd::setForceScalar(false);
-    core::setParallelThreads(0);
 }
 BENCHMARK(BM_SimdOp)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 

@@ -183,7 +183,8 @@ recoveryFleetConfig(const RecoveryFlags &flags,
     config.servers = 2;
     config.clicks = 2;
     config.storage = disk;
-    config.storePolicy.snapshotEvery = 32;
+    config.storePolicy.rotateBytes = 4096;
+    config.storePolicy.compactionFactor = 1.0;
     return config;
 }
 
@@ -373,11 +374,11 @@ runAll(const RecoveryFlags &flags)
     proto::StorePolicy every_record; // defaults
     proto::StorePolicy group16;
     group16.sync = wal::SyncPolicy::groupCommit(16);
-    // snapshotEvery counts per shard since the tier sharded (16
-    // shards see ~1/16 of the workload each), so 16 here keeps the
-    // snapshot cadence of the pre-shard 256-record policy.
+    // Eager compaction: 1 KiB segments and no growth factor, so each
+    // shard snapshots on (nearly) every segment roll.
     proto::StorePolicy snapshotting;
-    snapshotting.snapshotEvery = 16;
+    snapshotting.rotateBytes = 1024;
+    snapshotting.compactionFactor = 0.0;
 
     std::vector<StoreRunStats> stores;
     stores.push_back(runStoreWorkload("sync-every-record",
@@ -385,7 +386,7 @@ runAll(const RecoveryFlags &flags)
     stores.push_back(
         runStoreWorkload("group-commit-16", flags.mutations, group16));
     stores.push_back(runStoreWorkload(
-        "every-record+snap16/shard", flags.mutations, snapshotting));
+        "every-record+compact1K", flags.mutations, snapshotting));
 
     core::Table store_table({"policy", "append", "syncs", "wal KiB",
                              "snaps", "recover", "replayed"});

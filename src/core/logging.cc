@@ -1,35 +1,10 @@
 #include "core/logging.hh"
 
 #include <cstdio>
-#include <exception>
 
 namespace trust::core {
 
-namespace {
-LogLevel g_level = LogLevel::Warn;
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
 namespace detail {
-
-void
-emit(LogLevel level, const char *tag, const std::string &msg)
-{
-    if (level > g_level)
-        return;
-    std::fprintf(stderr, "[%s] %s\n", tag, msg.c_str());
-}
 
 void
 die(const char *kind, const char *file, int line, const std::string &msg)
@@ -41,21 +16,9 @@ die(const char *kind, const char *file, int line, const std::string &msg)
 } // namespace detail
 
 void
-inform(const std::string &msg)
-{
-    detail::emit(LogLevel::Info, "info", msg);
-}
-
-void
 warn(const std::string &msg)
 {
-    detail::emit(LogLevel::Warn, "warn", msg);
-}
-
-void
-debug(const std::string &msg)
-{
-    detail::emit(LogLevel::Debug, "debug", msg);
+    std::fprintf(stderr, "[warn] %s\n", msg.c_str());
 }
 
 } // namespace trust::core

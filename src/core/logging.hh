@@ -4,7 +4,7 @@
  *
  * Follows the gem5 convention: panic() for internal invariant
  * violations (library bugs), fatal() for unrecoverable user errors,
- * warn()/inform() for non-fatal status messages.
+ * warn() for non-fatal status messages.
  */
 
 #ifndef TRUST_CORE_LOGGING_HH
@@ -16,29 +16,13 @@
 
 namespace trust::core {
 
-/** Verbosity levels for status messages. */
-enum class LogLevel { Silent, Error, Warn, Info, Debug };
-
-/** Set the global verbosity threshold; messages above it are dropped. */
-void setLogLevel(LogLevel level);
-
-/** Current global verbosity threshold. */
-LogLevel logLevel();
-
 namespace detail {
-void emit(LogLevel level, const char *tag, const std::string &msg);
 [[noreturn]] void die(const char *kind, const char *file, int line,
                       const std::string &msg);
 } // namespace detail
 
-/** Informative message the user should see but not worry about. */
-void inform(const std::string &msg);
-
 /** Something may be modeled imprecisely; execution continues. */
 void warn(const std::string &msg);
-
-/** Debug-level trace message. */
-void debug(const std::string &msg);
 
 /**
  * Abort due to an internal invariant violation (a library bug).

@@ -1,11 +1,10 @@
 #include "core/parallel.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <memory>
-
-#include "core/obs/obs.hh"
 
 namespace trust::core {
 
@@ -106,13 +105,6 @@ ThreadPool::parallelFor(int begin, int end, int grain,
         for (int b = begin; b < end; b += grain)
             fn(b, std::min(b + grain, end));
         return;
-    }
-
-    if (obs::enabledFast()) {
-        obs::metrics().counter("parallel/jobs").add();
-        obs::metrics()
-            .counter("parallel/chunks")
-            .add(static_cast<std::uint64_t>(chunks));
     }
 
     auto job = std::make_shared<ForJob>();

@@ -1,17 +1,21 @@
 /**
  * @file
- * Fixed-size thread pool and data-parallel loop primitives for the
- * fingerprint hot path (Gabor convolution, orientation estimation,
- * batch template matching).
+ * Fixed-size thread pool and the one data-parallel loop the library
+ * uses. There is a single level of parallelism: independent units of
+ * work — fleet channels (one device + its event queue each) and
+ * store shards during recovery — run concurrently, while everything
+ * inside a unit (fingerprint kernels, matching, crypto) runs serially
+ * on the thread that owns the unit. Fleets already keep every core
+ * busy across channels, so splitting a 96x96 image into row bands
+ * would only add dispatch overhead.
  *
  * Design constraints, in priority order:
  *
  *  1. **Determinism.** `parallelFor` always splits `[begin, end)`
  *     into the same grain-sized chunks regardless of how many
  *     threads execute them, and chunk bodies only touch disjoint
- *     state (or reduce through `parallelMapReduce`, which folds the
- *     per-chunk partials in chunk order). Results are therefore
- *     bitwise identical at any thread count.
+ *     state. Results are therefore bitwise identical at any thread
+ *     count.
  *  2. **No deadlocks under nesting.** The calling thread always
  *     participates in chunk execution, so a `parallelFor` issued
  *     from inside a pool worker completes even when every worker is
@@ -23,7 +27,6 @@
 #ifndef TRUST_CORE_PARALLEL_HH
 #define TRUST_CORE_PARALLEL_HH
 
-#include <algorithm>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -76,7 +79,7 @@ class ThreadPool
 };
 
 /**
- * The process-wide pool used by the fingerprint pipeline. Created
+ * The process-wide pool that runs channels and shards. Created
  * lazily; sized by setParallelThreads() if called, else by the
  * TRUST_THREADS environment variable, else by
  * std::thread::hardware_concurrency().
@@ -97,34 +100,6 @@ int parallelThreadCount();
 /** parallelFor on the global pool. */
 void parallelFor(int begin, int end, int grain,
                  const std::function<void(int, int)> &fn);
-
-/**
- * Deterministic parallel reduction: `map(chunk_begin, chunk_end)`
- * produces one partial per grain-sized chunk; partials are combined
- * with `combine` sequentially in chunk order, so the result is
- * independent of the thread count (though not necessarily bitwise
- * equal to a single accumulation loop, because the association of
- * floating-point sums follows chunk boundaries).
- */
-template <typename T, typename Map, typename Combine>
-T
-parallelMapReduce(int begin, int end, int grain, T init, Map map,
-                  Combine combine)
-{
-    if (end <= begin)
-        return init;
-    grain = std::max(grain, 1);
-    const int chunks = (end - begin + grain - 1) / grain;
-    std::vector<T> partials(static_cast<std::size_t>(chunks), init);
-    parallelFor(begin, end, grain, [&](int b, int e) {
-        partials[static_cast<std::size_t>((b - begin) / grain)] =
-            map(b, e);
-    });
-    T total = init;
-    for (const T &partial : partials)
-        total = combine(total, partial);
-    return total;
-}
 
 } // namespace trust::core
 

@@ -1,7 +1,6 @@
 #include "core/wal/storage.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace trust::core::wal {
 
@@ -233,46 +232,6 @@ SimulatedStorage::durableClone() const
     for (const auto &[name, file] : files_)
         out.files_[name].durable = file.durable;
     return out;
-}
-
-bool
-SimulatedStorage::saveToDisk(const std::string &file,
-                             const std::string &path) const
-{
-    const Bytes data = readAll(file);
-    // trustlint: allow(file-io) -- sanctioned home of blocking file I/O
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return false;
-    const bool ok =
-        data.empty() ||
-        // trustlint: allow(file-io) -- sanctioned home of blocking file I/O
-        std::fwrite(data.data(), 1, data.size(), f) == data.size();
-    // trustlint: allow(file-io) -- sanctioned home of blocking file I/O
-    std::fclose(f);
-    return ok;
-}
-
-bool
-SimulatedStorage::loadFromDisk(const std::string &file,
-                               const std::string &path)
-{
-    // trustlint: allow(file-io) -- sanctioned home of blocking file I/O
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    Bytes data;
-    std::uint8_t buf[4096];
-    std::size_t n = 0;
-    // trustlint: allow(file-io) -- sanctioned home of blocking file I/O
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        data.insert(data.end(), buf, buf + n);
-    // trustlint: allow(file-io) -- sanctioned home of blocking file I/O
-    std::fclose(f);
-    std::lock_guard<std::mutex> lock(mutex_);
-    files_[file].durable = std::move(data);
-    files_[file].pending.clear();
-    return true;
 }
 
 } // namespace trust::core::wal

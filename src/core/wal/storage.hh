@@ -19,9 +19,9 @@
  * specific fault at a specific byte instead of sampling one.
  *
  * The whole module is in-memory; nothing here touches the real
- * filesystem except the explicit saveToDisk()/loadFromDisk() debug
- * helpers, which is why trustlint's `file-io` rule confines blocking
- * file I/O tokens to core/wal/.
+ * filesystem. trustlint's `file-io` rule confines blocking file I/O
+ * tokens to core/wal/, so durable state can only ever flow through
+ * this layer.
  */
 
 #ifndef TRUST_CORE_WAL_STORAGE_HH
@@ -189,18 +189,6 @@ class SimulatedStorage
 
     /** Deep copy (durable view only), as a crashed disk image. */
     SimulatedStorage durableClone() const;
-
-    // --- Real-filesystem debug helpers -------------------------------
-
-    /**
-     * Dump / load the durable view of one file to a host path.
-     * Debug-only escape hatch; the only sanctioned blocking file
-     * I/O in the library lives here (trustlint rule `file-io`).
-     */
-    bool saveToDisk(const std::string &file,
-                    const std::string &path) const;
-    bool loadFromDisk(const std::string &file,
-                      const std::string &path);
 
   private:
     struct File

@@ -11,7 +11,6 @@
 
 #include "core/geometry.hh"
 #include "core/obs/obs.hh"
-#include "core/parallel.hh"
 #include "core/simd/simd.hh"
 
 namespace trust::fingerprint {
@@ -21,9 +20,6 @@ namespace {
 namespace simd = core::simd;
 
 constexpr double kPi = std::numbers::pi;
-
-/** Row-band size for the parallel convolution/orientation loops. */
-constexpr int kRowGrain = 8;
 
 /** A bank of quantized Gabor kernels (orientation x frequency). */
 using GaborBank = std::vector<std::vector<float>>;
@@ -283,10 +279,8 @@ normalizeImage(FingerprintImage &image, double target_mean,
     if (var <= 1e-12)
         return;
     const double scale = std::sqrt(target_var / var);
-    core::parallelFor(0, image.rows(), kRowGrain, [&](int r0, int r1) {
-        TRUST_SIMD_DISPATCH(normalizeRows, image, mean, scale,
-                            target_mean, r0, r1);
-    });
+    TRUST_SIMD_DISPATCH(normalizeRows, image, mean, scale, target_mean,
+                        0, image.rows());
 }
 
 // --------------------------------------------------------------------
@@ -423,59 +417,43 @@ estimateOrientation(const FingerprintImage &image, int block, int stride)
     // SoA double-angle planes P1 = gx^2 - gy^2, P2 = 2 gx gy (the
     // per-pixel version recomputed both for every window tap).
     core::Grid<float> p1(rows, cols, 0.0f), p2(rows, cols, 0.0f);
-    core::parallelFor(1, rows - 1, kRowGrain, [&](int r0, int r1) {
-        TRUST_SIMD_DISPATCH(orientationProducts, image,
-                            p1.data().data(), p2.data().data(), r0,
-                            r1);
-    });
+    TRUST_SIMD_DISPATCH(orientationProducts, image, p1.data().data(),
+                        p2.data().data(), 1, rows - 1);
 
     // Separable clamped box sums (horizontal then vertical) replace
-    // the O(block^2)-per-pixel window accumulation. Row bands write
-    // disjoint rows, so the result is thread-count independent.
+    // the O(block^2)-per-pixel window accumulation.
     core::Grid<float> h1(rows, cols, 0.0f), h2(rows, cols, 0.0f);
-    core::parallelFor(0, rows, kRowGrain, [&](int r0, int r1) {
-        TRUST_SIMD_DISPATCH(horizontalBoxSums, p1.data().data(),
-                            h1.data().data(), cols, block, r0, r1);
-        TRUST_SIMD_DISPATCH(horizontalBoxSums, p2.data().data(),
-                            h2.data().data(), cols, block, r0, r1);
-    });
+    TRUST_SIMD_DISPATCH(horizontalBoxSums, p1.data().data(),
+                        h1.data().data(), cols, block, 0, rows);
+    TRUST_SIMD_DISPATCH(horizontalBoxSums, p2.data().data(),
+                        h2.data().data(), cols, block, 0, rows);
 
     // Vertical sums + angle, only where a consumer can look: pixels
     // on the stride lattice that carry mask signal. Everything else
     // stays 0 (see the header contract).
-    core::parallelFor(0, rows, kRowGrain, [&](int r0, int r1) {
-        std::vector<float> v1(static_cast<std::size_t>(cols));
-        std::vector<float> v2(static_cast<std::size_t>(cols));
-        for (int r = r0; r < r1; ++r) {
-            if (stride > 1 && r % stride != 0)
+    std::vector<float> v1(static_cast<std::size_t>(cols));
+    std::vector<float> v2(static_cast<std::size_t>(cols));
+    for (int r = 0; r < rows; r += stride) {
+        TRUST_SIMD_DISPATCH(verticalBoxSumRow, h1.data().data(), rows,
+                            cols, block, r, v1.data());
+        TRUST_SIMD_DISPATCH(verticalBoxSumRow, h2.data().data(), rows,
+                            cols, block, r, v2.data());
+        for (int c = 0; c < cols; c += stride) {
+            if (!image.valid(r, c))
                 continue;
-            TRUST_SIMD_DISPATCH(verticalBoxSumRow, h1.data().data(),
-                                rows, cols, block, r, v1.data());
-            TRUST_SIMD_DISPATCH(verticalBoxSumRow, h2.data().data(),
-                                rows, cols, block, r, v2.data());
-            for (int c = 0; c < cols; c += stride) {
-                if (!image.valid(r, c))
-                    continue;
-                // Gradient double-angle; ridge orientation is
-                // orthogonal.
-                const double grad_angle =
-                    0.5 * std::atan2(static_cast<double>(
-                                         v2[static_cast<std::size_t>(
-                                             c)]),
-                                     static_cast<double>(
-                                         v1[static_cast<std::size_t>(
-                                             c)]));
-                // grad_angle is in [-pi/2, pi/2] exactly (0.5* and
-                // pi/2 round exactly), so t is in [0, pi] and
-                // wrapOrientation's fmod is the identity below pi
-                // and maps the pi endpoint to 0 — branch instead of
-                // paying fmod per pixel (bit-identical).
-                const double t = grad_angle + kPi / 2.0;
-                orientation(r, c) =
-                    static_cast<float>(t < kPi ? t : 0.0);
-            }
+            // Gradient double-angle; ridge orientation is orthogonal.
+            const double grad_angle = 0.5 * std::atan2(
+                static_cast<double>(v2[static_cast<std::size_t>(c)]),
+                static_cast<double>(v1[static_cast<std::size_t>(c)]));
+            // grad_angle is in [-pi/2, pi/2] exactly (0.5* and pi/2
+            // round exactly), so t is in [0, pi] and
+            // wrapOrientation's fmod is the identity below pi and
+            // maps the pi endpoint to 0 — branch instead of paying
+            // fmod per pixel (bit-identical).
+            const double t = grad_angle + kPi / 2.0;
+            orientation(r, c) = static_cast<float>(t < kPi ? t : 0.0);
         }
-    });
+    }
     return orientation;
 }
 
@@ -731,32 +709,26 @@ gaborEnhanceVarFreq(FingerprintImage &image,
     // broadcast kernel instead of re-selecting per pixel.
     std::vector<std::int16_t> bins(
         static_cast<std::size_t>(rows) * cols, kNoBin);
-    core::parallelFor(0, rows, kRowGrain, [&](int r0, int r1) {
-        for (int r = r0; r < r1; ++r) {
-            for (int c = 0; c < cols; ++c) {
-                if (!image.valid(r, c))
-                    continue;
-                int ob = static_cast<int>(orientation(r, c) / kPi *
-                                          kOrientBins);
-                ob = std::clamp(ob, 0, kOrientBins - 1);
-                int fb =
-                    fstep > 0.0
-                        ? static_cast<int>(
-                              (frequency_map(r, c) - fmin) / fstep +
-                              0.5)
-                        : 0;
-                fb = std::clamp(fb, 0, kFreqBins - 1);
-                bins[static_cast<std::size_t>(r) * cols + c] =
-                    static_cast<std::int16_t>(ob * kFreqBins + fb);
-            }
+    for (int r = 0; r < rows; ++r) {
+        for (int c = 0; c < cols; ++c) {
+            if (!image.valid(r, c))
+                continue;
+            int ob = static_cast<int>(orientation(r, c) / kPi *
+                                      kOrientBins);
+            ob = std::clamp(ob, 0, kOrientBins - 1);
+            int fb = fstep > 0.0
+                         ? static_cast<int>(
+                               (frequency_map(r, c) - fmin) / fstep + 0.5)
+                         : 0;
+            fb = std::clamp(fb, 0, kFreqBins - 1);
+            bins[static_cast<std::size_t>(r) * cols + c] =
+                static_cast<std::int16_t>(ob * kFreqBins + fb);
         }
-    });
+    }
 
     const std::vector<float> padded = buildPaddedSource(image, radius);
-    core::parallelFor(0, rows, kRowGrain, [&](int r0, int r1) {
-        TRUST_SIMD_DISPATCH(gaborRows, image, padded, bank, radius,
-                            bins, r0, r1);
-    });
+    TRUST_SIMD_DISPATCH(gaborRows, image, padded, bank, radius, bins, 0,
+                        rows);
 }
 
 void
@@ -775,25 +747,21 @@ gaborEnhance(FingerprintImage &image, const core::Grid<float> &orientation,
 
     std::vector<std::int16_t> bins(
         static_cast<std::size_t>(rows) * cols, kNoBin);
-    core::parallelFor(0, rows, kRowGrain, [&](int r0, int r1) {
-        for (int r = r0; r < r1; ++r) {
-            for (int c = 0; c < cols; ++c) {
-                if (!image.valid(r, c))
-                    continue;
-                const double theta = orientation(r, c);
-                int bin = static_cast<int>(theta / kPi * kBins);
-                bin = std::clamp(bin, 0, kBins - 1);
-                bins[static_cast<std::size_t>(r) * cols + c] =
-                    static_cast<std::int16_t>(bin);
-            }
+    for (int r = 0; r < rows; ++r) {
+        for (int c = 0; c < cols; ++c) {
+            if (!image.valid(r, c))
+                continue;
+            const double theta = orientation(r, c);
+            int bin = static_cast<int>(theta / kPi * kBins);
+            bin = std::clamp(bin, 0, kBins - 1);
+            bins[static_cast<std::size_t>(r) * cols + c] =
+                static_cast<std::int16_t>(bin);
         }
-    });
+    }
 
     const std::vector<float> padded = buildPaddedSource(image, radius);
-    core::parallelFor(0, rows, kRowGrain, [&](int r0, int r1) {
-        TRUST_SIMD_DISPATCH(gaborRows, image, padded, bank, radius,
-                            bins, r0, r1);
-    });
+    TRUST_SIMD_DISPATCH(gaborRows, image, padded, bank, radius, bins, 0,
+                        rows);
 }
 
 } // namespace trust::fingerprint

@@ -5,7 +5,6 @@
 #include <numbers>
 
 #include "core/geometry.hh"
-#include "core/parallel.hh"
 #include "core/simd/simd.hh"
 
 namespace trust::fingerprint {
@@ -603,24 +602,14 @@ matchAgainstViews(const std::vector<std::vector<Minutia>> &views,
                   const MatchParams &params)
 {
     // The query-side pair features depend only on the tolerances,
-    // so build them once and share them across every view. Score
-    // every view concurrently, then fold in view order so the
-    // winner is independent of the thread count.
+    // so build them once and share them across every view.
     const QueryPairs qp = buildQueryPairs(query, params);
-    std::vector<MatchResult> results(views.size());
-    core::parallelFor(
-        0, static_cast<int>(views.size()), 1, [&](int b, int e) {
-            for (int i = b; i < e; ++i) {
-                const auto &view = views[static_cast<std::size_t>(i)];
-                if (view.size() < 2 || query.size() < 2)
-                    continue;
-                results[static_cast<std::size_t>(i)] = matchMinutiae(
-                    view, buildPairIndex(view, params), query, qp,
-                    params);
-            }
-        });
     MatchResult best;
-    for (const MatchResult &r : results) {
+    for (const auto &view : views) {
+        if (view.size() < 2 || query.size() < 2)
+            continue;
+        const MatchResult r = matchMinutiae(
+            view, buildPairIndex(view, params), query, qp, params);
         if (r.score > best.score || (r.accepted && !best.accepted))
             best = r;
     }

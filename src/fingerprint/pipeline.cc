@@ -1,7 +1,6 @@
 #include "fingerprint/pipeline.hh"
 
 #include "core/obs/obs.hh"
-#include "core/parallel.hh"
 #include "fingerprint/enhance.hh"
 #include "fingerprint/skeleton.hh"
 
@@ -102,18 +101,13 @@ matchTemplatesBatch(const std::vector<const FingerprintTemplate *> &views,
     // the whole batch (the batched multi-template hot path).
     const QueryPairs query_pairs = buildQueryPairs(query, params);
     std::vector<MatchResult> results(views.size());
-    core::parallelFor(
-        0, static_cast<int>(views.size()), 1, [&](int b, int e) {
-            for (int i = b; i < e; ++i) {
-                const FingerprintTemplate &t =
-                    *views[static_cast<std::size_t>(i)];
-                if (t.minutiae.size() < 2 || query.size() < 2)
-                    continue;
-                results[static_cast<std::size_t>(i)] =
-                    matchMinutiae(t.minutiae, *t.pairIndex(params),
-                                  query, query_pairs, params);
-            }
-        });
+    for (std::size_t i = 0; i < views.size(); ++i) {
+        const FingerprintTemplate &t = *views[i];
+        if (t.minutiae.size() < 2 || query.size() < 2)
+            continue;
+        results[i] = matchMinutiae(t.minutiae, *t.pairIndex(params),
+                                   query, query_pairs, params);
+    }
     if (core::obs::enabledFast())
         core::obs::metrics()
             .counter("fp/templates-matched")

@@ -82,10 +82,9 @@ MatchResult matchTemplate(const FingerprintTemplate &tmpl,
                           const MatchParams &params = {});
 
 /**
- * Score one query against many enrolled templates concurrently on
- * the global thread pool. The query-side pair features are built
- * once and shared across the whole batch. Results come back in
- * template order and are identical at any thread count.
+ * Score one query against many enrolled templates. The query-side
+ * pair features are built once and shared across the whole batch.
+ * Results come back in template order.
  */
 std::vector<MatchResult>
 matchTemplatesBatch(const std::vector<FingerprintTemplate> &views,

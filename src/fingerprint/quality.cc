@@ -4,30 +4,9 @@
 #include <cmath>
 
 #include "core/geometry.hh"
-#include "core/parallel.hh"
 #include "fingerprint/enhance.hh"
 
 namespace trust::fingerprint {
-
-namespace {
-
-/** Partial sum for the deterministic parallel reductions. */
-struct SumCount
-{
-    double sum = 0.0;
-    int count = 0;
-};
-
-SumCount
-combine(SumCount a, SumCount b)
-{
-    return {a.sum + b.sum, a.count + b.count};
-}
-
-/** Probe-row grain: rows per reduction chunk. */
-constexpr int kProbeGrain = 4;
-
-} // namespace
 
 QualityReport
 assessQuality(const FingerprintImage &capture, const QualityParams &params)
@@ -51,91 +30,67 @@ assessQuality(const FingerprintImage &capture, const QualityParams &params)
     const auto orientation = estimateOrientation(capture, 6, 2);
 
     // Ridge strength: mean absolute response of the centered signal
-    // along the orientation normal over a sparse probe set. Probe
-    // rows are processed in parallel; partials fold in chunk order
-    // so the result is thread-count independent.
-    const int strength_rows =
-        capture.rows() > 8 ? (capture.rows() - 8 + 5) / 6 : 0;
-    const SumCount strength = core::parallelMapReduce(
-        0, strength_rows, kProbeGrain, SumCount{},
-        [&](int i0, int i1) {
-            SumCount partial;
-            for (int i = i0; i < i1; ++i) {
-                const int r = 4 + 6 * i;
-                for (int c = 4; c < capture.cols() - 4; c += 6) {
-                    if (!capture.valid(r, c))
-                        continue;
-                    const double theta = orientation(r, c);
-                    const double nx = -std::sin(theta),
-                                 ny = std::cos(theta);
-                    double local_min = 1.0, local_max = 0.0;
-                    bool ok = true;
-                    for (int t = -4; t <= 4; ++t) {
-                        const int rr =
-                            r + static_cast<int>(std::lround(ny * t));
-                        const int cc =
-                            c + static_cast<int>(std::lround(nx * t));
-                        if (!capture.inBounds(rr, cc) ||
-                            !capture.valid(rr, cc)) {
-                            ok = false;
-                            break;
-                        }
-                        local_min = std::min<double>(
-                            local_min, capture.pixel(rr, cc));
-                        local_max = std::max<double>(
-                            local_max, capture.pixel(rr, cc));
-                    }
-                    if (!ok)
-                        continue;
-                    partial.sum += local_max - local_min;
-                    ++partial.count;
+    // along the orientation normal over a sparse probe set.
+    double strength_sum = 0.0;
+    int strength_count = 0;
+    for (int r = 4; r < capture.rows() - 4; r += 6) {
+        for (int c = 4; c < capture.cols() - 4; c += 6) {
+            if (!capture.valid(r, c))
+                continue;
+            const double theta = orientation(r, c);
+            const double nx = -std::sin(theta), ny = std::cos(theta);
+            double local_min = 1.0, local_max = 0.0;
+            bool ok = true;
+            for (int t = -4; t <= 4; ++t) {
+                const int rr = r + static_cast<int>(std::lround(ny * t));
+                const int cc = c + static_cast<int>(std::lround(nx * t));
+                if (!capture.inBounds(rr, cc) || !capture.valid(rr, cc)) {
+                    ok = false;
+                    break;
                 }
+                local_min =
+                    std::min<double>(local_min, capture.pixel(rr, cc));
+                local_max =
+                    std::max<double>(local_max, capture.pixel(rr, cc));
             }
-            return partial;
-        },
-        combine);
+            if (!ok)
+                continue;
+            strength_sum += local_max - local_min;
+            ++strength_count;
+        }
+    }
     report.ridgeStrength =
-        strength.count ? strength.sum / strength.count : 0.0;
+        strength_count ? strength_sum / strength_count : 0.0;
 
-    // Coherence: how well neighbouring orientations agree. Same
-    // probe-row parallel reduction.
-    const int coh_rows =
-        capture.rows() > 4 ? (capture.rows() - 4 + 3) / 4 : 0;
-    const SumCount coherence = core::parallelMapReduce(
-        0, coh_rows, kProbeGrain, SumCount{},
-        [&](int i0, int i1) {
-            SumCount partial;
-            for (int i = i0; i < i1; ++i) {
-                const int r = 2 + 4 * i;
-                for (int c = 2; c < capture.cols() - 2; c += 4) {
-                    if (!capture.valid(r, c))
+    // Coherence: how well neighbouring orientations agree.
+    double coherence_sum = 0.0;
+    int coherence_count = 0;
+    for (int r = 2; r < capture.rows() - 2; r += 4) {
+        for (int c = 2; c < capture.cols() - 2; c += 4) {
+            if (!capture.valid(r, c))
+                continue;
+            const double here = orientation(r, c);
+            double agree = 0.0;
+            int n = 0;
+            for (int dr = -2; dr <= 2; dr += 2) {
+                for (int dc = -2; dc <= 2; dc += 2) {
+                    if (!capture.inBounds(r + dr, c + dc) ||
+                        !capture.valid(r + dr, c + dc))
                         continue;
-                    const double here = orientation(r, c);
-                    double agree = 0.0;
-                    int n = 0;
-                    for (int dr = -2; dr <= 2; dr += 2) {
-                        for (int dc = -2; dc <= 2; dc += 2) {
-                            if (!capture.inBounds(r + dr, c + dc) ||
-                                !capture.valid(r + dr, c + dc))
-                                continue;
-                            const double diff = core::orientationDiff(
-                                here, orientation(r + dr, c + dc));
-                            agree +=
-                                1.0 - diff / (3.14159265358979 / 2.0);
-                            ++n;
-                        }
-                    }
-                    if (n) {
-                        partial.sum += agree / n;
-                        ++partial.count;
-                    }
+                    const double diff = core::orientationDiff(
+                        here, orientation(r + dr, c + dc));
+                    agree += 1.0 - diff / (3.14159265358979 / 2.0);
+                    ++n;
                 }
             }
-            return partial;
-        },
-        combine);
+            if (n) {
+                coherence_sum += agree / n;
+                ++coherence_count;
+            }
+        }
+    }
     report.coherence =
-        coherence.count ? coherence.sum / coherence.count : 0.0;
+        coherence_count ? coherence_sum / coherence_count : 0.0;
 
     const double cover_f =
         std::clamp(report.coverage / params.minCoverage, 0.0, 1.0);

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/parallel.hh"
 #include "core/simd/simd.hh"
 
 namespace trust::fingerprint {
@@ -13,9 +12,6 @@ namespace trust::fingerprint {
 namespace {
 
 namespace simd = core::simd;
-
-/** Row-band size for the parallel scan loops. */
-constexpr int kRowGrain = 16;
 
 /**
  * Binarize rows [r0, r1): 16 outputs per step by thresholding four
@@ -62,10 +58,8 @@ core::Grid<std::uint8_t>
 binarize(const FingerprintImage &image, float threshold)
 {
     core::Grid<std::uint8_t> out(image.rows(), image.cols(), 0);
-    core::parallelFor(0, image.rows(), kRowGrain, [&](int r0, int r1) {
-        TRUST_SIMD_DISPATCH(binarizeRows, image, threshold,
-                            out.data().data(), r0, r1);
-    });
+    TRUST_SIMD_DISPATCH(binarizeRows, image, threshold, out.data().data(),
+                        0, image.rows());
     return out;
 }
 
@@ -113,16 +107,16 @@ zsDelete(const std::array<std::uint8_t, 8> &p, int phase)
 }
 
 /**
- * One thinning sub-iteration over rows [r0, r1): read `src`, write
- * the surviving pixels into `dst`, 16 pixels per step. Out-of-grid
- * neighbours read from `zeros` so edge rows share the interior
- * kernel. Returns true if any pixel was deleted in the band.
+ * One thinning sub-iteration: read `src`, write the surviving pixels
+ * into `dst`, 16 pixels per step. Out-of-grid neighbours read from
+ * `zeros` so edge rows share the interior kernel. Returns true if
+ * any pixel was deleted.
  */
 template <class P>
 bool
-thinRows(const core::Grid<std::uint8_t> &src,
+thinPass(const core::Grid<std::uint8_t> &src,
          core::Grid<std::uint8_t> &dst, const std::uint8_t *zeros,
-         int phase, int r0, int r1)
+         int phase)
 {
     using U8 = typename P::U8;
     const int rows = src.rows(), cols = src.cols();
@@ -131,9 +125,9 @@ thinRows(const core::Grid<std::uint8_t> &src,
     const U8 zero8 = U8::zero();
     const U8 one8 = U8::set1(1);
     const U8 seven8 = U8::set1(7);
-    bool band_changed = false;
+    bool changed = false;
 
-    for (int r = r0; r < r1; ++r) {
+    for (int r = 0; r < rows; ++r) {
         const std::uint8_t *mid =
             sdata + static_cast<std::size_t>(r) * cols;
         const std::uint8_t *up =
@@ -188,7 +182,7 @@ thinRows(const core::Grid<std::uint8_t> &src,
 
             storeu(out + c, andnot(del, center));
             if (any(and_(del, center)))
-                band_changed = true;
+                changed = true;
         }
         // Scalar remainder plus the first/last columns.
         auto scalarAt = [&](int cc) {
@@ -196,7 +190,7 @@ thinRows(const core::Grid<std::uint8_t> &src,
                 return;
             if (zsDelete(neighbours(src, r, cc), phase)) {
                 out[cc] = 0;
-                band_changed = true;
+                changed = true;
             }
         };
         if (cols > 0)
@@ -206,7 +200,7 @@ thinRows(const core::Grid<std::uint8_t> &src,
         if (cols > 1)
             scalarAt(cols - 1);
     }
-    return band_changed;
+    return changed;
 }
 
 } // namespace
@@ -217,15 +211,9 @@ thin(const core::Grid<std::uint8_t> &binary)
     // Double-buffered Zhang-Suen: each sub-iteration reads grid A and
     // writes the survivors into grid B, then the buffers swap — the
     // deferred-deletion semantics of the classic algorithm with no
-    // per-iteration copy or allocation, and row bands that write
-    // disjoint output rows (thread-count independent).
+    // per-iteration copy or allocation.
     core::Grid<std::uint8_t> a = binary;
     core::Grid<std::uint8_t> b(binary.rows(), binary.cols(), 0);
-
-    const int rows = a.rows();
-    const int bands = rows > 0 ? (rows + kRowGrain - 1) / kRowGrain : 0;
-    std::vector<std::uint8_t> band_changed(
-        static_cast<std::size_t>(bands), 0);
     const std::vector<std::uint8_t> zeros(
         static_cast<std::size_t>(a.cols()), 0);
 
@@ -233,16 +221,8 @@ thin(const core::Grid<std::uint8_t> &binary)
     while (changed) {
         changed = false;
         for (int phase = 0; phase < 2; ++phase) {
-            core::parallelFor(0, rows, kRowGrain, [&](int r0, int r1) {
-                band_changed[static_cast<std::size_t>(r0 / kRowGrain)] =
-                    TRUST_SIMD_DISPATCH(thinRows, a, b, zeros.data(),
-                                        phase, r0, r1)
-                        ? 1
-                        : 0;
-            });
-            for (std::uint8_t flag : band_changed)
-                if (flag)
-                    changed = true;
+            if (TRUST_SIMD_DISPATCH(thinPass, a, b, zeros.data(), phase))
+                changed = true;
             std::swap(a, b);
         }
     }

@@ -55,12 +55,6 @@ Network::send(const std::string &from, const std::string &to,
 {
     ++sent_;
     bytesSent_ += payload.size();
-    if (core::obs::enabledFast()) {
-        core::obs::metrics().counter("net/sent").add();
-        core::obs::metrics()
-            .counter("net/bytes-sent")
-            .add(payload.size());
-    }
 
     Message message{from, to, payload, queue_.now()};
     if (adversary_ &&
@@ -112,8 +106,6 @@ Network::deliver(const Message &message)
     if (it == handlers_.end())
         return;
     ++delivered_;
-    if (core::obs::enabledFast())
-        core::obs::metrics().counter("net/delivered").add();
     it->second(message);
 }
 

@@ -197,10 +197,6 @@ MobileDevice::onOpTimeout(std::uint64_t op_id)
         return; // stale timer: the exchange already finished
     if (pending_.attempts >= retryPolicy_.maxAttempts) {
         counters_.bump("op-retry-exhausted");
-        if (core::obs::enabledFast())
-            core::obs::metrics()
-                .counter("device/retry-exhausted")
-                .add();
         noteExchangeEnd("retry-exhausted");
         lastError_ = OpError::RetryExhausted;
         if (pending_.await == Await::LoginReplyMsg ||
@@ -213,7 +209,6 @@ MobileDevice::onOpTimeout(std::uint64_t op_id)
     network_->send(name_, pending_.domain, pending_.request);
     counters_.bump("op-retransmit");
     if (core::obs::enabledFast()) {
-        core::obs::metrics().counter("device/retransmit").add();
         core::obs::tracer().instant(
             "device/retransmit",
             {{"op", std::to_string(pending_.opId)},

@@ -4,7 +4,6 @@
 
 #include "core/logging.hh"
 #include "core/obs/obs.hh"
-#include "core/parallel.hh"
 #include "crypto/aes128.hh"
 #include "crypto/hmac.hh"
 #include "crypto/sha256.hh"
@@ -123,7 +122,7 @@ FlockModule::firstMatchingFinger(const CaptureSample &capture,
                                  bool strict) const
 {
     // matchAll returns enrollment order, so the first accepted entry
-    // is the lowest-index matching finger regardless of thread count.
+    // is the lowest-index matching finger.
     for (const FingerMatch &m : matchAll(capture, strict))
         if (m.result.accepted)
             return m.finger;

@@ -124,12 +124,11 @@ class FlockModule
 
     /**
      * Score a capture against every view of every enrolled finger in
-     * one batch: the query-side pair features are built once and all
-     * (finger, view) comparisons run concurrently on the global
-     * thread pool. Results come back in enrollment order (finger,
-     * then view) and are deterministic at any thread count. This is
-     * the matching hot path behind verifyCapture/processTouch and
-     * therefore behind every WebServer page interaction.
+     * one batch: the query-side pair features are built once and
+     * shared by every (finger, view) comparison. Results come back
+     * in enrollment order (finger, then view). This is the matching
+     * hot path behind verifyCapture/processTouch and therefore
+     * behind every WebServer page interaction.
      */
     std::vector<FingerMatch> matchAll(const CaptureSample &capture,
                                       bool strict = false) const;
@@ -276,9 +275,8 @@ class FlockModule
 
     /**
      * Score a capture against every view of every enrolled finger
-     * concurrently (batch multi-template matching on the global
-     * thread pool) and return the lowest-index finger with an
-     * accepted view, or -1. Deterministic at any thread count.
+     * (batch multi-template matching) and return the lowest-index
+     * finger with an accepted view, or -1.
      */
     int firstMatchingFinger(const CaptureSample &capture,
                             bool strict) const;

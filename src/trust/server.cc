@@ -246,9 +246,6 @@ WebServer::note(const std::string &event, const std::string &account,
     }
     if (!core::obs::enabledFast())
         return;
-    core::obs::metrics()
-        .counter("server/verdict", {{"event", event}})
-        .add();
     // Fixed field set (absent values as "-") keeps the canonical
     // line shape identical across verdict kinds.
     core::obs::audit().record(

@@ -75,15 +75,6 @@ TrustStore::TrustStore(core::wal::SimulatedStorage &storage,
             storage_, shardStem(s), options);
         shards_.push_back(std::move(shard));
     }
-    auto &m = core::obs::metrics();
-    snapshotsCounter_ =
-        &m.counter("store/snapshots", {{"store", name_}});
-    snapshotBytesCounter_ =
-        &m.counter("store/snapshot-bytes", {{"store", name_}});
-    segmentsGcdCounter_ =
-        &m.counter("store/segments-gcd", {{"store", name_}});
-    replayedCounter_ =
-        &m.counter("store/replayed", {{"store", name_}});
 }
 
 std::string
@@ -222,7 +213,6 @@ TrustStore::recoverShard(Shard &shard, std::size_t index)
     shard.log = std::make_unique<core::wal::SegmentedWalWriter>(
         storage_, shardStem(index), options);
     shard.nextSeq = shard.state.lastSeq + 1;
-    shard.sinceSnapshot = 0;
     shard.bytesSinceSnapshot = 0;
     shard.lastSnapshotSeq = report.snapshotLoaded
                                 ? report.snapshotSeq
@@ -265,8 +255,6 @@ TrustStore::recover()
         report.droppedSegments += r.droppedSegments;
     }
     report.shards = std::move(reports);
-    if (core::obs::enabledFast())
-        replayedCounter_->add(report.replayed);
     publishMetrics();
     return report;
 }
@@ -310,7 +298,6 @@ TrustStore::appendLocked(Shard &shard, RecordType type,
         shard.state.lastSeq = shard.nextSeq;
     ++shard.nextSeq;
     ++shard.mutations;
-    ++shard.sinceSnapshot;
     shard.bytesSinceSnapshot += payload.size() + 8; // + frame header
     maybeSnapshotLocked(shard, rolled);
 }
@@ -520,12 +507,7 @@ TrustStore::parseSnapshot(const core::Bytes &blob, StoreState *state)
 void
 TrustStore::maybeSnapshotLocked(Shard &shard, bool rolled)
 {
-    if (policy_.snapshotEvery > 0 &&
-        shard.sinceSnapshot >= policy_.snapshotEvery) {
-        writeSnapshotLocked(shard);
-        return;
-    }
-    if (!rolled || !policy_.snapshotOnRotate)
+    if (!rolled)
         return;
     // Compaction trigger: snapshot once the log has outgrown the
     // live state by the configured factor. This keeps retained log
@@ -567,17 +549,10 @@ TrustStore::writeSnapshotLocked(Shard &shard)
     storage_.rename(tmp, snap);
     shard.lastSnapshotSeq = shard.state.lastSeq;
     shard.lastSnapshotBytes = blob.size();
-    shard.sinceSnapshot = 0;
     shard.bytesSinceSnapshot = 0;
     ++shard.snapshotsWritten;
     shard.snapshotBytes += blob.size();
-    const std::size_t gcd = shard.log->gc(gc_bound);
-    if (core::obs::enabledFast()) {
-        snapshotsCounter_->add();
-        snapshotBytesCounter_->add(blob.size());
-        if (gcd > 0)
-            segmentsGcdCounter_->add(gcd);
-    }
+    shard.log->gc(gc_bound);
 }
 
 std::string
@@ -832,6 +807,12 @@ TrustStore::publishMetrics() const
         .set(static_cast<double>(logBytes()));
     m.gauge("store/segments", {{"store", name_}})
         .set(static_cast<double>(segmentCount()));
+    m.gauge("store/snapshots", {{"store", name_}})
+        .set(static_cast<double>(snapshotsWritten()));
+    m.gauge("store/snapshot-bytes", {{"store", name_}})
+        .set(static_cast<double>(snapshotBytesWritten()));
+    m.gauge("store/segments-gcd", {{"store", name_}})
+        .set(static_cast<double>(segmentsGcd()));
 }
 
 } // namespace trust::trust

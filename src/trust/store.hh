@@ -62,10 +62,6 @@
 #include "core/wal/segment.hh"
 #include "core/wal/wal.hh"
 
-namespace trust::core::obs {
-class Counter;
-} // namespace trust::core::obs
-
 namespace trust::trust {
 
 /** Durability/partitioning/compaction knobs. */
@@ -74,15 +70,6 @@ struct StorePolicy
     /** WAL sync policy (see core/wal/wal.hh). */
     core::wal::SyncPolicy sync = core::wal::SyncPolicy::everyRecord();
 
-    /**
-     * Additionally write a snapshot every N applied mutations per
-     * shard (0 = cadence-driven snapshots off). Compaction-driven
-     * snapshots (snapshotOnRotate below) run either way; snapshots
-     * only accelerate recovery — correctness never depends on one
-     * landing.
-     */
-    std::size_t snapshotEvery = 0;
-
     /** Log partitions (clamped to [1, 64]). */
     std::size_t shards = 16;
 
@@ -90,19 +77,14 @@ struct StorePolicy
     std::size_t rotateBytes = 256 * 1024;
 
     /**
-     * Schedule a snapshot + segment GC when a shard's active
-     * segment rolls and the log has outgrown the live state (see
-     * compactionFactor). This is the default that keeps long-running
-     * stores recoverable in O(live state) — with it off and
-     * snapshotEvery = 0, recovery degrades to full-history replay.
-     */
-    bool snapshotOnRotate = true;
-
-    /**
-     * Compaction trigger: snapshot when bytes appended since the
-     * last snapshot exceed max(rotateBytes, factor × last snapshot
-     * bytes). Larger factors trade recovery replay for lower
-     * snapshot write amplification.
+     * Compaction trigger: when a shard's active segment rolls,
+     * snapshot (and GC the segments the older snapshot generation
+     * covers) once the bytes appended since the last snapshot exceed
+     * max(rotateBytes, factor × last snapshot bytes). This keeps
+     * long-running stores recoverable in O(live state); larger
+     * factors trade recovery replay for lower snapshot write
+     * amplification. Snapshots only accelerate recovery —
+     * correctness never depends on one landing.
      */
     double compactionFactor = 2.0;
 };
@@ -248,11 +230,12 @@ class TrustStore
     std::size_t storageBytes() const;
 
     /**
-     * Refresh the store gauges in the metrics registry (live
-     * accounts/sessions, log bytes, segments). Counters (snapshots,
-     * GC, replay) update at event time; gauges are published here so
-     * mutation paths never pay a cross-shard sum. Called by
-     * checkpoint() and recover(); benches may call it directly.
+     * Refresh the store gauges in the metrics registry from the
+     * accessors above (live accounts/sessions, log bytes, segments,
+     * snapshots, GC). The store keeps the only counts; the registry
+     * gets a copy here so mutation paths never pay a cross-shard sum
+     * or a registry lookup. Called by checkpoint() and recover();
+     * benches may call it directly.
      */
     void publishMetrics() const;
 
@@ -283,7 +266,6 @@ class TrustStore
         StoreState state; ///< This shard's key partition only.
         std::uint64_t nextSeq = 1;
         std::uint64_t mutations = 0;
-        std::uint64_t sinceSnapshot = 0;
         std::size_t bytesSinceSnapshot = 0;
         std::uint64_t snapshotsWritten = 0;
         std::uint64_t snapshotBytes = 0;
@@ -325,13 +307,6 @@ class TrustStore
     StorePolicy policy_;
     std::vector<std::unique_ptr<Shard>> shards_;
     mutable std::atomic<std::uint64_t> digestCalls_{0};
-
-    // Event-time counters, resolved once (labels carry the store
-    // name). Always valid; updates are guarded by obs::enabledFast().
-    core::obs::Counter *snapshotsCounter_ = nullptr;
-    core::obs::Counter *snapshotBytesCounter_ = nullptr;
-    core::obs::Counter *segmentsGcdCounter_ = nullptr;
-    core::obs::Counter *replayedCounter_ = nullptr;
 };
 
 } // namespace trust::trust

@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -13,7 +12,6 @@
 namespace {
 
 using trust::core::parallelFor;
-using trust::core::parallelMapReduce;
 using trust::core::parallelThreadCount;
 using trust::core::setParallelThreads;
 using trust::core::ThreadPool;
@@ -77,30 +75,6 @@ TEST(Parallel, NestedParallelForCompletes)
         }
     });
     EXPECT_EQ(total.load(), 8 * 16);
-}
-
-TEST(Parallel, MapReduceDeterministicAcrossThreadCounts)
-{
-    ThreadGuard guard;
-    // A float sum whose association depends on chunk fold order:
-    // identical results at every thread count proves the fold is
-    // chunk-ordered, not completion-ordered.
-    auto sum = [](int threads) {
-        setParallelThreads(threads);
-        return parallelMapReduce(
-            0, 1000, 13, 0.0,
-            [](int begin, int end) {
-                double s = 0.0;
-                for (int i = begin; i < end; ++i)
-                    s += 1.0 / (1.0 + static_cast<double>(i));
-                return s;
-            },
-            [](double a, double b) { return a + b; });
-    };
-    const double serial = sum(1);
-    EXPECT_EQ(serial, sum(2));
-    EXPECT_EQ(serial, sum(4));
-    EXPECT_EQ(serial, sum(8));
 }
 
 TEST(Parallel, SetParallelThreadsOverridesCount)

@@ -1,10 +1,13 @@
 /**
  * @file
- * Determinism and caching tests for the parallel pipeline: the same
- * capture must produce bitwise-identical templates and match scores
- * at every thread count, the Gabor kernel-bank cache must be reused
- * across extractions, and a deserialized template must rebuild its
- * memoized pair index transparently.
+ * Determinism and caching tests for the fingerprint pipeline under
+ * capture-level parallelism: the kernels run serially inside one
+ * capture, and many captures run concurrently on the pool (as fleet
+ * channels do). Every capture must produce bitwise-identical
+ * templates and match scores whether it ran alone or beside others,
+ * the Gabor kernel-bank cache must be reused across extractions,
+ * and a deserialized template must rebuild its memoized pair index
+ * transparently.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 
 namespace {
 
+using trust::core::parallelFor;
 using trust::core::Rng;
 using trust::core::setParallelThreads;
 using trust::fingerprint::captureImpression;
@@ -57,22 +61,35 @@ impression(std::uint64_t seed, std::size_t finger = 0)
                              rng);
 }
 
+/** Extract every capture, one pool task per capture. */
+std::vector<std::optional<FingerprintTemplate>>
+extractAll(const std::vector<trust::fingerprint::FingerprintImage> &imgs)
+{
+    std::vector<std::optional<FingerprintTemplate>> out(imgs.size());
+    parallelFor(0, static_cast<int>(imgs.size()), 1, [&](int b, int e) {
+        for (int i = b; i < e; ++i)
+            out[static_cast<std::size_t>(i)] =
+                extractTemplate(imgs[static_cast<std::size_t>(i)]);
+    });
+    return out;
+}
+
 TEST(ParallelPipeline, ExtractionIdenticalAcrossThreadCounts)
 {
     ThreadGuard guard;
-    const auto img = impression(42);
+    std::vector<trust::fingerprint::FingerprintImage> imgs;
+    for (std::uint64_t s = 0; s < 8; ++s)
+        imgs.push_back(impression(42 + s, s % 2));
 
     setParallelThreads(1);
-    const auto serial = extractTemplate(img);
-    ASSERT_TRUE(serial.has_value());
+    const auto serial = extractAll(imgs);
+    ASSERT_TRUE(serial.front().has_value());
 
     for (const int threads : {2, 4, 8}) {
         setParallelThreads(threads);
-        const auto parallel = extractTemplate(img);
-        ASSERT_TRUE(parallel.has_value());
         // Bitwise equality: minutiae positions/angles and the
         // quality score, not approximate closeness.
-        EXPECT_EQ(*parallel, *serial) << "threads=" << threads;
+        EXPECT_EQ(extractAll(imgs), serial) << "threads=" << threads;
     }
 }
 
@@ -93,20 +110,37 @@ TEST(ParallelPipeline, MatchScoresIdenticalAcrossThreadCounts)
     const auto serial_best = matchBestTemplate(views, query->minutiae);
     ASSERT_EQ(serial.size(), views.size());
 
+    // Several channels matching against the same shared templates at
+    // once (their pair indexes are built lazily under contention).
+    constexpr int kChannels = 8;
     for (const int threads : {4, 8}) {
         setParallelThreads(threads);
-        const auto parallel =
-            matchTemplatesBatch(views, query->minutiae);
-        ASSERT_EQ(parallel.size(), serial.size());
-        for (std::size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(parallel[i].accepted, serial[i].accepted);
-            EXPECT_EQ(parallel[i].score, serial[i].score);
-            EXPECT_EQ(parallel[i].votes, serial[i].votes);
-            EXPECT_EQ(parallel[i].paired, serial[i].paired);
+        for (auto &v : views)
+            v.invalidatePairIndex();
+        std::vector<std::vector<trust::fingerprint::MatchResult>>
+            batches(kChannels);
+        std::vector<trust::fingerprint::MatchResult> bests(kChannels);
+        parallelFor(0, kChannels, 1, [&](int b, int e) {
+            for (int i = b; i < e; ++i) {
+                const auto slot = static_cast<std::size_t>(i);
+                batches[slot] =
+                    matchTemplatesBatch(views, query->minutiae);
+                bests[slot] = matchBestTemplate(views, query->minutiae);
+            }
+        });
+        for (int ch = 0; ch < kChannels; ++ch) {
+            const auto &parallel = batches[static_cast<std::size_t>(ch)];
+            ASSERT_EQ(parallel.size(), serial.size());
+            for (std::size_t i = 0; i < serial.size(); ++i) {
+                EXPECT_EQ(parallel[i].accepted, serial[i].accepted);
+                EXPECT_EQ(parallel[i].score, serial[i].score);
+                EXPECT_EQ(parallel[i].votes, serial[i].votes);
+                EXPECT_EQ(parallel[i].paired, serial[i].paired);
+            }
+            const auto &best = bests[static_cast<std::size_t>(ch)];
+            EXPECT_EQ(best.accepted, serial_best.accepted);
+            EXPECT_EQ(best.score, serial_best.score);
         }
-        const auto best = matchBestTemplate(views, query->minutiae);
-        EXPECT_EQ(best.accepted, serial_best.accepted);
-        EXPECT_EQ(best.score, serial_best.score);
     }
 }
 

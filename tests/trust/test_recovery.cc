@@ -493,7 +493,6 @@ recoveryFleetConfig(SimulatedStorage *disk)
     config.servers = 2;
     config.clicks = 2;
     config.storage = disk;
-    config.storePolicy.snapshotEvery = 8;
     return config;
 }
 

@@ -17,12 +17,26 @@ using namespace trust::trust;
 
 /** One shard, one segment: the byte-level tests poke a single file. */
 StorePolicy
-oneShard(std::size_t snapshot_every = 0)
+oneShard()
 {
     StorePolicy policy;
     policy.shards = 1;
-    policy.snapshotEvery = snapshot_every;
     policy.rotateBytes = 64 * 1024 * 1024;
+    return policy;
+}
+
+/**
+ * One shard that compacts as eagerly as the policy allows: the
+ * smallest segment (1 KiB) and no growth factor, so a snapshot lands
+ * on every segment roll that closes at least 1 KiB of fresh log.
+ */
+StorePolicy
+eagerCompaction()
+{
+    StorePolicy policy;
+    policy.shards = 1;
+    policy.rotateBytes = 1024;
+    policy.compactionFactor = 0.0;
     return policy;
 }
 
@@ -105,13 +119,13 @@ TEST(TrustStore, SnapshotAcceleratesButNeverChangesState)
     SimulatedStorage with_snap_disk;
     SimulatedStorage no_snap_disk;
 
-    const StorePolicy snapping = oneShard(4);
+    const StorePolicy snapping = eagerCompaction();
     {
         TrustStore a(with_snap_disk, "srv", snapping);
         TrustStore b(no_snap_disk, "srv");
         a.recover();
         b.recover();
-        for (std::uint8_t i = 0; i < 11; ++i) {
+        for (std::uint8_t i = 0; i < 120; ++i) {
             a.putSession(i, session("u" + std::to_string(i % 3), i));
             b.putSession(i, session("u" + std::to_string(i % 3), i));
         }
@@ -137,14 +151,15 @@ TEST(TrustStore, SnapshotAcceleratesButNeverChangesState)
 TEST(TrustStore, CorruptSnapshotDegradesToPreviousGeneration)
 {
     SimulatedStorage disk;
-    const StorePolicy snapping = oneShard(2);
+    const StorePolicy snapping = eagerCompaction();
     std::string expected;
     {
         TrustStore store(disk, "srv", snapping);
         store.recover();
-        for (std::uint8_t i = 0; i < 7; ++i)
+        for (std::uint8_t i = 0; i < 200; ++i)
             store.putAccount("u" + std::to_string(i), Bytes{i});
         expected = store.stateDigest();
+        ASSERT_GE(store.segmentsGcd(), 1u);
     }
     disk.crashClean();
     ASSERT_TRUE(disk.exists("srv.s00.snap"));
@@ -168,8 +183,9 @@ TEST(TrustStore, CorruptSnapshotDegradesToPreviousGeneration)
     // The surviving generation was promoted back to `.snap`.
     EXPECT_TRUE(newest_bad.exists("srv.s00.snap"));
 
-    // Both generations corrupt: full-log replay, still exact (the
-    // log is never GC'd past the older generation).
+    // Both generations corrupt: the log before the older generation
+    // was compacted away, so replay stops at the sequence hole and
+    // recovers the empty prefix, never later records past the hole.
     SimulatedStorage both_bad = disk;
     both_bad.corruptByte("srv.s00.snap",
                          both_bad.size("srv.s00.snap") / 2, 0x40);
@@ -179,8 +195,10 @@ TEST(TrustStore, CorruptSnapshotDegradesToPreviousGeneration)
     const RecoveryReport full_report = full.recover();
     EXPECT_TRUE(full_report.snapshotCorrupt);
     EXPECT_FALSE(full_report.snapshotLoaded);
-    EXPECT_EQ(full_report.replayed, full_report.walRecords);
-    EXPECT_EQ(full.stateDigest(), expected);
+    ASSERT_EQ(full_report.shards.size(), 1u);
+    EXPECT_TRUE(full_report.shards[0].seqGap);
+    EXPECT_EQ(full_report.replayed, 0u);
+    EXPECT_EQ(full.state().accounts.size(), 0u);
 }
 
 TEST(TrustStore, TornWalTailIsTruncatedNotServed)
@@ -212,7 +230,8 @@ TEST(TrustStore, TornWalTailIsTruncatedNotServed)
 /**
  * The central replay property, over randomized histories:
  * replay(snapshot + suffix) == replay(full log), pinned via the
- * canonical state digest for many (seed, snapshot cadence) pairs.
+ * canonical state digest for many seeded policies (shard count,
+ * segment size, compaction factor).
  */
 TEST(TrustStoreProperty, SnapshotSuffixEqualsFullReplay)
 {
@@ -221,14 +240,17 @@ TEST(TrustStoreProperty, SnapshotSuffixEqualsFullReplay)
         SimulatedStorage snap_disk;
         SimulatedStorage log_disk;
         StorePolicy snapping;
-        snapping.snapshotEvery =
-            static_cast<std::size_t>(rng.uniformInt(1, 5));
+        snapping.shards = static_cast<std::size_t>(rng.uniformInt(1, 4));
+        snapping.rotateBytes =
+            static_cast<std::size_t>(rng.uniformInt(1024, 4096));
+        snapping.compactionFactor =
+            static_cast<double>(rng.uniformInt(0, 4)) / 2.0;
         {
             TrustStore a(snap_disk, "srv", snapping);
             TrustStore b(log_disk, "srv");
             a.recover();
             b.recover();
-            const int ops = static_cast<int>(rng.uniformInt(10, 40));
+            const int ops = static_cast<int>(rng.uniformInt(100, 400));
             for (int i = 0; i < ops; ++i) {
                 const auto kind = rng.uniformInt(0, 4);
                 const auto uid = rng.uniformInt(0, 6);
@@ -281,7 +303,7 @@ TEST(TrustStoreProperty, SnapshotSuffixEqualsFullReplay)
 TEST(TrustStoreFuzz, SnapshotReaderIsTotal)
 {
     SimulatedStorage disk;
-    const StorePolicy snapping = oneShard(3);
+    const StorePolicy snapping = eagerCompaction();
     std::string expected;
     {
         TrustStore store(disk, "srv", snapping);
@@ -291,6 +313,10 @@ TEST(TrustStoreFuzz, SnapshotReaderIsTotal)
             store.putSession(i, session("u" + std::to_string(i), i));
         }
         expected = store.stateDigest();
+        // One snapshot and nothing compacted away: the log still
+        // holds the full history behind it.
+        ASSERT_EQ(store.snapshotsWritten(), 1u);
+        ASSERT_EQ(store.segmentsGcd(), 0u);
     }
     disk.crashClean();
     const Bytes snap_image = disk.readAll("srv.s00.snap");
@@ -475,16 +501,14 @@ TEST(TrustStoreSharded, ParallelRecoveryIsThreadCountDeterministic)
 
 TEST(TrustStoreSharded, DefaultPolicyBoundsReplayToLiveState)
 {
-    // Satellite regression: the default policy (snapshotEvery = 0)
-    // must NOT mean "never snapshot, replay everything". A long
-    // overwrite-heavy history over a small live set has to recover
-    // by replaying O(live state), not O(history).
+    // Regression: the default policy must NOT mean "never snapshot,
+    // replay everything". A long overwrite-heavy history over a small
+    // live set has to recover by replaying O(live state), not
+    // O(history).
     SimulatedStorage disk;
     StorePolicy policy;
     policy.shards = 4;
     policy.rotateBytes = 1024;
-    ASSERT_EQ(policy.snapshotEvery, 0u);
-    ASSERT_TRUE(policy.snapshotOnRotate);
 
     const int mutations = 4000;
     std::string expected;
