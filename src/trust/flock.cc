@@ -39,7 +39,6 @@ FlockModule::FlockModule(std::string device_id,
     : deviceId_(std::move(device_id)), caKey_(std::move(ca_key)),
       config_(config), rng_(seed),
       deviceKeys_(crypto::rsaGenerate(config.rsaBits, rng_)),
-      frameHash_(config.frameHashAlgorithm),
       risk_(config.riskWindow, config.riskRequiredMatches)
 {
     busyTime_ += cryptoModel_.rsaKeygen1024;

@@ -46,8 +46,6 @@ struct FlockConfig
     int riskWindow = 8;              ///< n of the k-of-n policy.
     int riskRequiredMatches = 2;     ///< k of the k-of-n policy.
     std::size_t rsaBits = 512;       ///< Key size (sim default).
-    hw::FrameHashEngine::Algorithm frameHashAlgorithm =
-        hw::FrameHashEngine::Algorithm::Sha256;
     hw::DisplaySpec display;
 };
 

@@ -186,38 +186,6 @@ WebServer::pageFor(const std::string &tag) const
     return page;
 }
 
-std::shared_ptr<const WebServer::PageEntry>
-WebServer::pageEntry(const std::string &tag) const
-{
-    {
-        std::lock_guard<std::mutex> lock(pageCacheMutex_);
-        const auto it = pageCache_.find(tag);
-        if (it != pageCache_.end())
-            return it->second;
-    }
-    // Build outside the lock: page expansion plus one frame hash per
-    // possible view is the expensive part this cache amortises.
-    // Both are pure functions of (domain, tag, display), so a lost
-    // race just built the same entry twice.
-    auto entry = std::make_shared<PageEntry>();
-    entry->page = pageFor(tag);
-    entry->viewHashes =
-        expectedFrameHashes(entry->page, display_, frameHash_);
-    {
-        std::lock_guard<std::mutex> lock(pageCacheMutex_);
-        const auto it = pageCache_.find(tag);
-        if (it != pageCache_.end())
-            return it->second; // lost the race; keep the incumbent
-        pageCache_.emplace(tag, entry);
-        pageCacheFifo_.push_back(tag);
-        if (pageCacheFifo_.size() > kPageCacheCapacity) {
-            pageCache_.erase(pageCacheFifo_.front());
-            pageCacheFifo_.pop_front();
-        }
-    }
-    return entry;
-}
-
 core::Bytes
 WebServer::freshNonce()
 {
@@ -565,7 +533,7 @@ WebServer::handleRegistrationRequest(const RegistrationRequest &request,
     page.requestId = request.requestId;
     page.domain = domain_;
     page.nonce = freshNonce();
-    page.pageContent = pageEntry("register")->page;
+    page.pageContent = pageFor("register");
     page.serverCert = cert_.serialize();
     page.signature = crypto::rsaSign(keys_.priv, page.signedBody());
     {
@@ -656,8 +624,7 @@ WebServer::handleRegistrationSubmit(const RegistrationSubmit &submit)
     }
 
     // Log the registration frame hash for audit.
-    appendAuditEntry({submit.account, 0, submit.frameHash,
-                      pageEntry("register")->viewHashes});
+    appendAuditEntry({submit.account, 0, "register", submit.frameHash});
 
     // Phase 3 (shard lock): consume the nonce and commit the
     // binding. A concurrent submit of the same nonce loses the race
@@ -712,7 +679,7 @@ WebServer::handleLoginRequest(const LoginRequest &request,
     page.requestId = request.requestId;
     page.domain = domain_;
     page.nonce = freshNonce();
-    page.pageContent = pageEntry("login")->page;
+    page.pageContent = pageFor("login");
     page.signature = crypto::rsaSign(keys_.priv, page.signedBody());
     {
         AccountShard &shard = accountShard(request.account);
@@ -737,7 +704,7 @@ WebServer::makeContentPage(std::uint64_t session_id,
     page.sessionId = session_id;
     page.nonce = session.expectedNonce;
     page.pageContent = sessionCipher(
-        session.sessionKey, pageEntry(tag)->page, session_id);
+        session.sessionKey, pageFor(tag), session_id);
     page.mac = crypto::hmacSha256(session.sessionKey, page.macBody());
     return page;
 }
@@ -821,8 +788,7 @@ WebServer::handleLoginSubmit(const LoginSubmit &submit)
     session.lastRequestId = submit.requestId;
 
     // Log the login frame hash.
-    appendAuditEntry({submit.account, session_id, submit.frameHash,
-                      pageEntry("login")->viewHashes});
+    appendAuditEntry({submit.account, session_id, "login", submit.frameHash});
 
     ContentPage page =
         makeContentPage(session_id, session, "home", submit.requestId);
@@ -896,11 +862,12 @@ WebServer::handlePageRequest(const PageRequest &request)
         return std::nullopt;
     }
 
-    // Frame hash: log for offline audit (default) or verify online.
-    // The expected-view set comes from the memoized page entry, so
-    // the per-request audit cost is a cache lookup, not a render.
-    const auto expected = pageEntry(session.currentTag)->viewHashes;
+    // Frame hash: log for offline audit (default) or verify online
+    // against every view of the page last served — the online mode
+    // pays one render + hash per view on each request.
     if (policy_.onlineFrameVerification) {
+        const auto expected = expectedFrameHashes(
+            pageFor(session.currentTag), display_, frameHash_);
         const bool hash_known =
             std::find(expected.begin(), expected.end(),
                       request.frameHash) != expected.end();
@@ -910,7 +877,7 @@ WebServer::handlePageRequest(const PageRequest &request)
         }
     }
     appendAuditEntry({request.account, request.sessionId,
-                      request.frameHash, expected});
+                      session.currentTag, request.frameHash});
 
     if (request.requestId != 0)
         session.lastRequestId = request.requestId;
@@ -1119,14 +1086,26 @@ WebServer::expireHandshakes(core::Tick now)
 std::size_t
 WebServer::auditFrameHashes() const
 {
-    std::lock_guard<std::mutex> lock(auditMutex_);
+    // Copy the evidence out under the lock and hash outside it, so
+    // an audit never stalls the serving threads appending to the log.
+    std::vector<std::pair<std::string, core::Bytes>> logged;
+    {
+        std::lock_guard<std::mutex> lock(auditMutex_);
+        logged.reserve(auditLog_.size());
+        for (const auto &entry : auditLog_)
+            logged.emplace_back(entry.tag, entry.frameHash);
+    }
+    // The expected view set is a pure function of the tag: derive it
+    // once per distinct page.
+    std::map<std::string, std::vector<core::Bytes>> expected;
     std::size_t mismatches = 0;
-    for (const auto &entry : auditLog_) {
-        const bool hash_known =
-            std::find(entry.expectedHashes.begin(),
-                      entry.expectedHashes.end(),
-                      entry.frameHash) != entry.expectedHashes.end();
-        if (!hash_known)
+    for (const auto &[tag, frame_hash] : logged) {
+        const auto [it, fresh] = expected.try_emplace(tag);
+        if (fresh)
+            it->second =
+                expectedFrameHashes(pageFor(tag), display_, frameHash_);
+        if (std::find(it->second.begin(), it->second.end(),
+                      frame_hash) == it->second.end())
             ++mismatches;
     }
     return mismatches;

@@ -120,15 +120,6 @@ struct HandleResult
     bool rejected = false;
 };
 
-/** One audit-log entry (frame hash + what it should have shown). */
-struct AuditEntry
-{
-    std::string account;
-    std::uint64_t sessionId = 0;
-    core::Bytes frameHash;
-    std::vector<core::Bytes> expectedHashes;
-};
-
 /** The web service. */
 class WebServer
 {
@@ -289,7 +280,9 @@ class WebServer
     /**
      * Offline frame-hash audit: number of logged frames whose hash
      * does not belong to the expected view set of the page that was
-     * being displayed (i.e. display-tampering detections).
+     * being displayed (i.e. display-tampering detections). Each
+     * distinct page's view set is rendered and hashed once per call,
+     * outside the audit-log lock.
      */
     std::size_t auditFrameHashes() const;
 
@@ -376,11 +369,17 @@ class WebServer
         core::Tick lastNow = 0; ///< Last drain timestamp.
     };
 
-    /** Deterministic page content + precomputed view hashes. */
-    struct PageEntry
+    /**
+     * One audit-log entry: the frame hash FLock reported and the tag
+     * of the page it should have shown (the expected view set is
+     * derived from the tag when the entry is checked).
+     */
+    struct AuditEntry
     {
-        core::Bytes page;
-        std::vector<core::Bytes> viewHashes;
+        std::string account;
+        std::uint64_t sessionId = 0;
+        std::string tag;
+        core::Bytes frameHash;
     };
 
     static constexpr std::size_t kAccountShards = 16;
@@ -388,7 +387,6 @@ class WebServer
     static constexpr std::size_t kDedupShards = 8;
     static constexpr std::size_t kDedupPerShard = 128;
     static constexpr std::size_t kAdmissionShards = 4;
-    static constexpr std::size_t kPageCacheCapacity = 256;
 
     static std::size_t hashKey(std::string_view key);
 
@@ -422,14 +420,6 @@ class WebServer
 
     /** Page content generator (deterministic per action). */
     core::Bytes pageFor(const std::string &tag) const;
-
-    /**
-     * Memoized page content + expected view hashes for a tag
-     * (bounded cache; the per-request frame-hash audit cost is paid
-     * once per tag instead of once per request).
-     */
-    std::shared_ptr<const PageEntry>
-    pageEntry(const std::string &tag) const;
 
     core::Bytes freshNonce();
 
@@ -486,11 +476,6 @@ class WebServer
     std::vector<std::unique_ptr<AdmissionShard>> admissionShards_;
     std::atomic<std::uint64_t> nextSessionId_{1};
     TrustStore *store_ = nullptr; ///< Durability layer (optional).
-
-    mutable std::mutex pageCacheMutex_;
-    mutable std::map<std::string, std::shared_ptr<const PageEntry>>
-        pageCache_;
-    mutable std::deque<std::string> pageCacheFifo_;
 
     mutable std::mutex auditMutex_;
     std::vector<AuditEntry> auditLog_;

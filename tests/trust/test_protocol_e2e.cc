@@ -291,6 +291,106 @@ TEST(ProtocolE2E, CleanDeviceAuditIsClean)
     EXPECT_GT(server.auditLogSize(), 0u);
 }
 
+TEST(ProtocolE2E, MixedSessionAuditFlagsOnlyTamperedFrames)
+{
+    EcosystemConfig config;
+    config.seed = 9850;
+    Ecosystem eco(config);
+    auto &server = eco.addServer("www.bank.com");
+    const auto behavior = standardBehavior(8);
+    auto &device =
+        eco.addDevice("phone-m", behavior, trustFingers()[0]);
+
+    Rng rng(9851);
+    const auto outcome =
+        runBrowsingSession(eco, device, server, behavior,
+                           trustFingers()[0], rng, 6, "alice");
+    ASSERT_TRUE(outcome.loggedIn);
+    ASSERT_EQ(outcome.pagesReceived, 6);
+
+    // Same session, second half: the host turns malicious. The page
+    // already on screen was rendered clean, so the first request
+    // after the switch still carries a clean frame; every later one
+    // carries a tampered frame.
+    MalwareProfile malware;
+    malware.tamperFrames = true;
+    device.setMalware(malware);
+    const std::uint64_t sent_before =
+        device.counters().get("page-request-sent");
+    const std::uint64_t accepted_before =
+        server.counters().get("request-accepted");
+    const auto touches = trust::touch::generateSession(
+        behavior, rng, eco.queue().now() + trust::core::seconds(1), 6);
+    for (const auto &event : touches) {
+        device.onTouch(event, &trustFingers()[0]);
+        eco.settle();
+    }
+    const std::uint64_t sent =
+        device.counters().get("page-request-sent") - sent_before;
+    ASSERT_GT(sent, 1u);
+    ASSERT_EQ(server.counters().get("request-accepted") -
+                  accepted_before,
+              sent);
+
+    const std::size_t flagged = server.auditFrameHashes();
+    EXPECT_GT(flagged, 0u);
+    EXPECT_LT(flagged, server.auditLogSize());
+    EXPECT_EQ(flagged, sent - 1);
+    // Every tampered frame but the one still on screen was submitted.
+    EXPECT_EQ(flagged,
+              device.counters().get("malware:frame-tampered") - 1);
+}
+
+TEST(ProtocolE2E, OnlineVerificationAcceptsCleanDevice)
+{
+    EcosystemConfig config;
+    config.seed = 9800;
+    config.serverPolicy.onlineFrameVerification = true;
+    Ecosystem eco(config);
+    auto &server = eco.addServer("www.bank.com");
+    const auto behavior = standardBehavior(8);
+    auto &device =
+        eco.addDevice("phone-h", behavior, trustFingers()[0]);
+
+    Rng rng(9801);
+    const auto outcome =
+        runBrowsingSession(eco, device, server, behavior,
+                           trustFingers()[0], rng, 8, "alice");
+    EXPECT_TRUE(outcome.loggedIn);
+    EXPECT_EQ(outcome.pagesReceived, 8);
+    EXPECT_EQ(outcome.requestsRejected, 0);
+    EXPECT_EQ(server.counters().get("request-accepted"), 8u);
+    EXPECT_EQ(server.counters().get("request-rejected:frame-hash"), 0u);
+    EXPECT_EQ(server.auditFrameHashes(), 0u);
+}
+
+TEST(ProtocolE2E, OnlineVerificationRejectsTamperedFrames)
+{
+    EcosystemConfig config;
+    config.seed = 9700;
+    config.serverPolicy.onlineFrameVerification = true;
+    Ecosystem eco(config);
+    auto &server = eco.addServer("www.bank.com");
+    const auto behavior = standardBehavior(7);
+    auto &device =
+        eco.addDevice("phone-g", behavior, trustFingers()[0]);
+    MalwareProfile malware;
+    malware.tamperFrames = true;
+    device.setMalware(malware);
+
+    Rng rng(9701);
+    const auto outcome =
+        runBrowsingSession(eco, device, server, behavior,
+                           trustFingers()[0], rng, 8, "alice");
+    EXPECT_TRUE(outcome.loggedIn);
+    // The home page arrived with the login reply; no page request
+    // carrying a tampered frame gets another.
+    EXPECT_EQ(outcome.pagesReceived, 0);
+    EXPECT_GT(outcome.requestsRejected, 0);
+    EXPECT_GT(server.counters().get("request-rejected:frame-hash"), 0u);
+    EXPECT_EQ(server.counters().get("request-accepted"), 0u);
+}
+
 TEST(ProtocolE2E, IdentityResetThenRebind)
 {
     EcosystemConfig config;
