@@ -188,4 +188,81 @@ ByteReader::readString()
     return toString(readBytes());
 }
 
+void
+writeField(ByteWriter &w, std::uint32_t v)
+{
+    w.writeU32(v);
+}
+
+void
+writeField(ByteWriter &w, std::uint64_t v)
+{
+    w.writeU64(v);
+}
+
+void
+writeField(ByteWriter &w, bool v)
+{
+    w.writeBool(v);
+}
+
+void
+writeField(ByteWriter &w, const std::string &v)
+{
+    w.writeString(v);
+}
+
+void
+writeField(ByteWriter &w, const Bytes &v)
+{
+    w.writeBytes(v);
+}
+
+void
+writeField(ByteWriter &w, const std::vector<std::uint64_t> &v)
+{
+    w.writeU32(static_cast<std::uint32_t>(v.size()));
+    for (const std::uint64_t x : v)
+        w.writeU64(x);
+}
+
+void
+readField(ByteReader &r, std::uint32_t &v)
+{
+    v = r.readU32();
+}
+
+void
+readField(ByteReader &r, std::uint64_t &v)
+{
+    v = r.readU64();
+}
+
+void
+readField(ByteReader &r, bool &v)
+{
+    v = r.readBool();
+}
+
+void
+readField(ByteReader &r, std::string &v)
+{
+    v = r.readString();
+}
+
+void
+readField(ByteReader &r, Bytes &v)
+{
+    v = r.readBytes();
+}
+
+void
+readField(ByteReader &r, std::vector<std::uint64_t> &v)
+{
+    const std::uint32_t count = r.readU32();
+    v.clear();
+    for (std::uint32_t i = 0; i < count && r.ok(); ++i)
+        v.push_back(r.readU64());
+}
+
 } // namespace trust::core

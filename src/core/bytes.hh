@@ -7,8 +7,11 @@
 #ifndef TRUST_CORE_BYTES_HH
 #define TRUST_CORE_BYTES_HH
 
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 namespace trust::core {
@@ -105,6 +108,54 @@ class ByteReader
     std::size_t pos_ = 0;
     bool ok_ = true;
 };
+
+// --- Field codec -----------------------------------------------------------
+//
+// One writeField/readField overload per wire type. A record whose
+// fields are listed once, as a std::tie of its members, gets its
+// encoder (writeFields) and its decoder (readFields) from that list.
+
+void writeField(ByteWriter &w, std::uint32_t v);
+void writeField(ByteWriter &w, std::uint64_t v);
+void writeField(ByteWriter &w, bool v);
+void writeField(ByteWriter &w, const std::string &v);
+void writeField(ByteWriter &w, const Bytes &v);
+/** u32 element count, then each element. */
+void writeField(ByteWriter &w, const std::vector<std::uint64_t> &v);
+
+void readField(ByteReader &r, std::uint32_t &v);
+void readField(ByteReader &r, std::uint64_t &v);
+void readField(ByteReader &r, bool &v);
+void readField(ByteReader &r, std::string &v);
+void readField(ByteReader &r, Bytes &v);
+/**
+ * The count is untrusted: elements are read until the count is met
+ * or the reader runs dry, so it never drives a reserve or an
+ * over-read.
+ */
+void readField(ByteReader &r, std::vector<std::uint64_t> &v);
+
+template <typename... T>
+void
+writeFields(ByteWriter &w, const std::tuple<T &...> &fields)
+{
+    std::apply([&w](const auto &...f) { (writeField(w, f), ...); },
+               fields);
+}
+
+template <typename... T>
+void
+readFields(ByteReader &r, const std::tuple<T &...> &fields)
+{
+    std::apply([&r](auto &...f) { (readField(r, f), ...); }, fields);
+}
+
+/**
+ * @p R is @p T or const @p T: lets one field-list function serve the
+ * encoder (const record) and the decoder (mutable record).
+ */
+template <typename R, typename T>
+concept FieldsOf = std::same_as<std::remove_const_t<R>, T>;
 
 } // namespace trust::core
 

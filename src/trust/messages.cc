@@ -1,28 +1,162 @@
 #include "trust/messages.hh"
 
+#include <utility>
+
 namespace trust::trust {
 
 namespace {
 
-/** Begin a payload with its kind byte and request id. */
-core::ByteWriter
-beginMessage(MsgKind kind, std::uint64_t request_id)
+using core::FieldsOf;
+
+// --- Field lists --------------------------------------------------------
+//
+// Each message's fields in wire order, after the kind byte and the
+// request id. For the eight authenticated messages the last field is
+// the authenticator (signature or MAC), and signedBody()/macBody()
+// cover every field before it; serialize(), deserialize() and the
+// authenticated body all derive from the one list below.
+
+auto
+fields(FieldsOf<RegistrationRequest> auto &m)
+{
+    return std::tie(m.domain, m.account);
+}
+
+auto
+fields(FieldsOf<RegistrationPage> auto &m)
+{
+    return std::tie(m.domain, m.nonce, m.pageContent, m.serverCert,
+                    m.signature);
+}
+
+auto
+fields(FieldsOf<RegistrationSubmit> auto &m)
+{
+    return std::tie(m.domain, m.account, m.nonce, m.deviceCert,
+                    m.userPublicKey, m.frameHash, m.signature);
+}
+
+auto
+fields(FieldsOf<RegistrationResult> auto &m)
+{
+    return std::tie(m.domain, m.account, m.ok, m.reason);
+}
+
+auto
+fields(FieldsOf<LoginRequest> auto &m)
+{
+    return std::tie(m.domain, m.account);
+}
+
+auto
+fields(FieldsOf<LoginPage> auto &m)
+{
+    return std::tie(m.domain, m.nonce, m.pageContent, m.signature);
+}
+
+auto
+fields(FieldsOf<LoginSubmit> auto &m)
+{
+    return std::tie(m.domain, m.account, m.nonce, m.encSessionKey,
+                    m.frameHash, m.riskMatched, m.riskWindow, m.mac);
+}
+
+auto
+fields(FieldsOf<ContentPage> auto &m)
+{
+    return std::tie(m.domain, m.sessionId, m.nonce, m.pageContent,
+                    m.mac);
+}
+
+auto
+fields(FieldsOf<PageRequest> auto &m)
+{
+    return std::tie(m.domain, m.account, m.sessionId, m.nonce, m.action,
+                    m.frameHash, m.riskMatched, m.riskWindow, m.mac);
+}
+
+auto
+fields(FieldsOf<ErrorReply> auto &m)
+{
+    return std::tie(m.domain, m.reason);
+}
+
+auto
+fields(FieldsOf<ServerBusy> auto &m)
+{
+    return std::tie(m.domain, m.retryAfter);
+}
+
+auto
+fields(FieldsOf<CrlMessage> auto &m)
+{
+    return std::tie(m.issuer, m.crlSeq, m.revokedSerials, m.signature);
+}
+
+auto
+fields(FieldsOf<CrlAck> auto &m)
+{
+    return std::tie(m.domain, m.crlSeq, m.revokedCount);
+}
+
+auto
+fields(FieldsOf<ResetRequest> auto &m)
+{
+    return std::tie(m.domain, m.account, m.authSeq, m.signature);
+}
+
+// --- Encodings derived from a field list --------------------------------
+
+/** kind ‖ id ‖ every field. */
+template <typename M>
+core::Bytes
+encode(MsgKind kind, const M &m)
 {
     core::ByteWriter w;
     w.writeU8(static_cast<std::uint8_t>(kind));
-    w.writeU64(request_id);
-    return w;
+    w.writeU64(m.requestId);
+    core::writeFields(w, fields(m));
+    return w.take();
 }
 
-/** Open a reader and verify the kind byte. */
+/**
+ * kind ‖ [id] ‖ every field but the trailing authenticator. CRLs and
+ * reset authorizations leave the id out (@p cover_id false) so one
+ * signed artifact can be redelivered under fresh ids.
+ */
+template <typename M>
+core::Bytes
+authenticatedBody(MsgKind kind, const M &m, bool cover_id)
+{
+    const auto all = fields(m);
+    constexpr std::size_t n = std::tuple_size_v<decltype(all)> - 1;
+    const auto body = [&]<std::size_t... I>(std::index_sequence<I...>) {
+        return std::tie(std::get<I>(all)...);
+    }(std::make_index_sequence<n>{});
+
+    core::ByteWriter w;
+    w.writeU8(static_cast<std::uint8_t>(kind));
+    if (cover_id)
+        w.writeU64(m.requestId);
+    core::writeFields(w, body);
+    return w.take();
+}
+
+/** Inverse of encode(): nullopt on a wrong kind, short or long input. */
 // trustlint: untrusted-input
-std::optional<core::ByteReader>
-openMessage(const core::Bytes &payload, MsgKind expected)
+template <typename M>
+std::optional<M>
+decode(MsgKind kind, const core::Bytes &payload)
 {
     core::ByteReader r(payload);
-    if (r.readU8() != static_cast<std::uint8_t>(expected) || !r.ok())
+    if (r.readU8() != static_cast<std::uint8_t>(kind))
         return std::nullopt;
-    return r;
+    M m;
+    m.requestId = r.readU64();
+    core::readFields(r, fields(m));
+    if (!r.ok() || !r.atEnd())
+        return std::nullopt;
+    return m;
 }
 
 } // namespace
@@ -58,26 +192,15 @@ peekRequestId(const core::Bytes &payload)
 core::Bytes
 RegistrationRequest::serialize() const
 {
-    auto w = beginMessage(MsgKind::RegistrationRequest, requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    return w.take();
+    return encode(MsgKind::RegistrationRequest, *this);
 }
 
 // trustlint: untrusted-input
 std::optional<RegistrationRequest>
 RegistrationRequest::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::RegistrationRequest);
-    if (!r)
-        return std::nullopt;
-    RegistrationRequest m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.account = r->readString();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<RegistrationRequest>(MsgKind::RegistrationRequest,
+                                       payload);
 }
 
 // --- RegistrationPage ----------------------------------------------------
@@ -85,45 +208,21 @@ RegistrationRequest::deserialize(const core::Bytes &payload)
 core::Bytes
 RegistrationPage::signedBody() const
 {
-    core::ByteWriter w;
-    w.writeU8(static_cast<std::uint8_t>(MsgKind::RegistrationPage));
-    w.writeU64(requestId);
-    w.writeString(domain);
-    w.writeBytes(nonce);
-    w.writeBytes(pageContent);
-    w.writeBytes(serverCert);
-    return w.take();
+    return authenticatedBody(MsgKind::RegistrationPage, *this,
+                             /*cover_id=*/true);
 }
 
 core::Bytes
 RegistrationPage::serialize() const
 {
-    auto w = beginMessage(MsgKind::RegistrationPage, requestId);
-    w.writeString(domain);
-    w.writeBytes(nonce);
-    w.writeBytes(pageContent);
-    w.writeBytes(serverCert);
-    w.writeBytes(signature);
-    return w.take();
+    return encode(MsgKind::RegistrationPage, *this);
 }
 
 // trustlint: untrusted-input
 std::optional<RegistrationPage>
 RegistrationPage::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::RegistrationPage);
-    if (!r)
-        return std::nullopt;
-    RegistrationPage m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.nonce = r->readBytes();
-    m.pageContent = r->readBytes();
-    m.serverCert = r->readBytes();
-    m.signature = r->readBytes();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<RegistrationPage>(MsgKind::RegistrationPage, payload);
 }
 
 // --- RegistrationSubmit --------------------------------------------------
@@ -131,51 +230,22 @@ RegistrationPage::deserialize(const core::Bytes &payload)
 core::Bytes
 RegistrationSubmit::signedBody() const
 {
-    core::ByteWriter w;
-    w.writeU8(static_cast<std::uint8_t>(MsgKind::RegistrationSubmit));
-    w.writeU64(requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    w.writeBytes(nonce);
-    w.writeBytes(deviceCert);
-    w.writeBytes(userPublicKey);
-    w.writeBytes(frameHash);
-    return w.take();
+    return authenticatedBody(MsgKind::RegistrationSubmit, *this,
+                             /*cover_id=*/true);
 }
 
 core::Bytes
 RegistrationSubmit::serialize() const
 {
-    auto w = beginMessage(MsgKind::RegistrationSubmit, requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    w.writeBytes(nonce);
-    w.writeBytes(deviceCert);
-    w.writeBytes(userPublicKey);
-    w.writeBytes(frameHash);
-    w.writeBytes(signature);
-    return w.take();
+    return encode(MsgKind::RegistrationSubmit, *this);
 }
 
 // trustlint: untrusted-input
 std::optional<RegistrationSubmit>
 RegistrationSubmit::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::RegistrationSubmit);
-    if (!r)
-        return std::nullopt;
-    RegistrationSubmit m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.account = r->readString();
-    m.nonce = r->readBytes();
-    m.deviceCert = r->readBytes();
-    m.userPublicKey = r->readBytes();
-    m.frameHash = r->readBytes();
-    m.signature = r->readBytes();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<RegistrationSubmit>(MsgKind::RegistrationSubmit,
+                                      payload);
 }
 
 // --- RegistrationResult --------------------------------------------------
@@ -183,30 +253,15 @@ RegistrationSubmit::deserialize(const core::Bytes &payload)
 core::Bytes
 RegistrationResult::serialize() const
 {
-    auto w = beginMessage(MsgKind::RegistrationResult, requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    w.writeBool(ok);
-    w.writeString(reason);
-    return w.take();
+    return encode(MsgKind::RegistrationResult, *this);
 }
 
 // trustlint: untrusted-input
 std::optional<RegistrationResult>
 RegistrationResult::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::RegistrationResult);
-    if (!r)
-        return std::nullopt;
-    RegistrationResult m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.account = r->readString();
-    m.ok = r->readBool();
-    m.reason = r->readString();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<RegistrationResult>(MsgKind::RegistrationResult,
+                                      payload);
 }
 
 // --- LoginRequest ---------------------------------------------------------
@@ -214,26 +269,14 @@ RegistrationResult::deserialize(const core::Bytes &payload)
 core::Bytes
 LoginRequest::serialize() const
 {
-    auto w = beginMessage(MsgKind::LoginRequest, requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    return w.take();
+    return encode(MsgKind::LoginRequest, *this);
 }
 
 // trustlint: untrusted-input
 std::optional<LoginRequest>
 LoginRequest::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::LoginRequest);
-    if (!r)
-        return std::nullopt;
-    LoginRequest m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.account = r->readString();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<LoginRequest>(MsgKind::LoginRequest, payload);
 }
 
 // --- LoginPage --------------------------------------------------------------
@@ -241,42 +284,21 @@ LoginRequest::deserialize(const core::Bytes &payload)
 core::Bytes
 LoginPage::signedBody() const
 {
-    core::ByteWriter w;
-    w.writeU8(static_cast<std::uint8_t>(MsgKind::LoginPage));
-    w.writeU64(requestId);
-    w.writeString(domain);
-    w.writeBytes(nonce);
-    w.writeBytes(pageContent);
-    return w.take();
+    return authenticatedBody(MsgKind::LoginPage, *this,
+                             /*cover_id=*/true);
 }
 
 core::Bytes
 LoginPage::serialize() const
 {
-    auto w = beginMessage(MsgKind::LoginPage, requestId);
-    w.writeString(domain);
-    w.writeBytes(nonce);
-    w.writeBytes(pageContent);
-    w.writeBytes(signature);
-    return w.take();
+    return encode(MsgKind::LoginPage, *this);
 }
 
 // trustlint: untrusted-input
 std::optional<LoginPage>
 LoginPage::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::LoginPage);
-    if (!r)
-        return std::nullopt;
-    LoginPage m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.nonce = r->readBytes();
-    m.pageContent = r->readBytes();
-    m.signature = r->readBytes();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<LoginPage>(MsgKind::LoginPage, payload);
 }
 
 // --- LoginSubmit ------------------------------------------------------------
@@ -284,54 +306,21 @@ LoginPage::deserialize(const core::Bytes &payload)
 core::Bytes
 LoginSubmit::macBody() const
 {
-    core::ByteWriter w;
-    w.writeU8(static_cast<std::uint8_t>(MsgKind::LoginSubmit));
-    w.writeU64(requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    w.writeBytes(nonce);
-    w.writeBytes(encSessionKey);
-    w.writeBytes(frameHash);
-    w.writeU32(riskMatched);
-    w.writeU32(riskWindow);
-    return w.take();
+    return authenticatedBody(MsgKind::LoginSubmit, *this,
+                             /*cover_id=*/true);
 }
 
 core::Bytes
 LoginSubmit::serialize() const
 {
-    auto w = beginMessage(MsgKind::LoginSubmit, requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    w.writeBytes(nonce);
-    w.writeBytes(encSessionKey);
-    w.writeBytes(frameHash);
-    w.writeU32(riskMatched);
-    w.writeU32(riskWindow);
-    w.writeBytes(mac);
-    return w.take();
+    return encode(MsgKind::LoginSubmit, *this);
 }
 
 // trustlint: untrusted-input
 std::optional<LoginSubmit>
 LoginSubmit::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::LoginSubmit);
-    if (!r)
-        return std::nullopt;
-    LoginSubmit m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.account = r->readString();
-    m.nonce = r->readBytes();
-    m.encSessionKey = r->readBytes();
-    m.frameHash = r->readBytes();
-    m.riskMatched = r->readU32();
-    m.riskWindow = r->readU32();
-    m.mac = r->readBytes();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<LoginSubmit>(MsgKind::LoginSubmit, payload);
 }
 
 // --- ContentPage ------------------------------------------------------------
@@ -339,45 +328,21 @@ LoginSubmit::deserialize(const core::Bytes &payload)
 core::Bytes
 ContentPage::macBody() const
 {
-    core::ByteWriter w;
-    w.writeU8(static_cast<std::uint8_t>(MsgKind::ContentPage));
-    w.writeU64(requestId);
-    w.writeString(domain);
-    w.writeU64(sessionId);
-    w.writeBytes(nonce);
-    w.writeBytes(pageContent);
-    return w.take();
+    return authenticatedBody(MsgKind::ContentPage, *this,
+                             /*cover_id=*/true);
 }
 
 core::Bytes
 ContentPage::serialize() const
 {
-    auto w = beginMessage(MsgKind::ContentPage, requestId);
-    w.writeString(domain);
-    w.writeU64(sessionId);
-    w.writeBytes(nonce);
-    w.writeBytes(pageContent);
-    w.writeBytes(mac);
-    return w.take();
+    return encode(MsgKind::ContentPage, *this);
 }
 
 // trustlint: untrusted-input
 std::optional<ContentPage>
 ContentPage::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::ContentPage);
-    if (!r)
-        return std::nullopt;
-    ContentPage m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.sessionId = r->readU64();
-    m.nonce = r->readBytes();
-    m.pageContent = r->readBytes();
-    m.mac = r->readBytes();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<ContentPage>(MsgKind::ContentPage, payload);
 }
 
 // --- PageRequest ------------------------------------------------------------
@@ -385,57 +350,21 @@ ContentPage::deserialize(const core::Bytes &payload)
 core::Bytes
 PageRequest::macBody() const
 {
-    core::ByteWriter w;
-    w.writeU8(static_cast<std::uint8_t>(MsgKind::PageRequest));
-    w.writeU64(requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    w.writeU64(sessionId);
-    w.writeBytes(nonce);
-    w.writeString(action);
-    w.writeBytes(frameHash);
-    w.writeU32(riskMatched);
-    w.writeU32(riskWindow);
-    return w.take();
+    return authenticatedBody(MsgKind::PageRequest, *this,
+                             /*cover_id=*/true);
 }
 
 core::Bytes
 PageRequest::serialize() const
 {
-    auto w = beginMessage(MsgKind::PageRequest, requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    w.writeU64(sessionId);
-    w.writeBytes(nonce);
-    w.writeString(action);
-    w.writeBytes(frameHash);
-    w.writeU32(riskMatched);
-    w.writeU32(riskWindow);
-    w.writeBytes(mac);
-    return w.take();
+    return encode(MsgKind::PageRequest, *this);
 }
 
 // trustlint: untrusted-input
 std::optional<PageRequest>
 PageRequest::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::PageRequest);
-    if (!r)
-        return std::nullopt;
-    PageRequest m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.account = r->readString();
-    m.sessionId = r->readU64();
-    m.nonce = r->readBytes();
-    m.action = r->readString();
-    m.frameHash = r->readBytes();
-    m.riskMatched = r->readU32();
-    m.riskWindow = r->readU32();
-    m.mac = r->readBytes();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<PageRequest>(MsgKind::PageRequest, payload);
 }
 
 // --- ErrorReply -------------------------------------------------------------
@@ -443,26 +372,14 @@ PageRequest::deserialize(const core::Bytes &payload)
 core::Bytes
 ErrorReply::serialize() const
 {
-    auto w = beginMessage(MsgKind::ErrorReply, requestId);
-    w.writeString(domain);
-    w.writeString(reason);
-    return w.take();
+    return encode(MsgKind::ErrorReply, *this);
 }
 
 // trustlint: untrusted-input
 std::optional<ErrorReply>
 ErrorReply::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::ErrorReply);
-    if (!r)
-        return std::nullopt;
-    ErrorReply m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.reason = r->readString();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<ErrorReply>(MsgKind::ErrorReply, payload);
 }
 
 // --- ServerBusy --------------------------------------------------------------
@@ -470,26 +387,14 @@ ErrorReply::deserialize(const core::Bytes &payload)
 core::Bytes
 ServerBusy::serialize() const
 {
-    auto w = beginMessage(MsgKind::ServerBusy, requestId);
-    w.writeString(domain);
-    w.writeU64(retryAfter);
-    return w.take();
+    return encode(MsgKind::ServerBusy, *this);
 }
 
 // trustlint: untrusted-input
 std::optional<ServerBusy>
 ServerBusy::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::ServerBusy);
-    if (!r)
-        return std::nullopt;
-    ServerBusy m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.retryAfter = r->readU64();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<ServerBusy>(MsgKind::ServerBusy, payload);
 }
 
 // --- CrlMessage --------------------------------------------------------------
@@ -497,49 +402,21 @@ ServerBusy::deserialize(const core::Bytes &payload)
 core::Bytes
 CrlMessage::signedBody() const
 {
-    core::ByteWriter w;
-    w.writeU8(static_cast<std::uint8_t>(MsgKind::CrlMessage));
-    w.writeString(issuer);
-    w.writeU64(crlSeq);
-    w.writeU32(static_cast<std::uint32_t>(revokedSerials.size()));
-    for (std::uint64_t serial : revokedSerials)
-        w.writeU64(serial);
-    return w.take();
+    return authenticatedBody(MsgKind::CrlMessage, *this,
+                             /*cover_id=*/false);
 }
 
 core::Bytes
 CrlMessage::serialize() const
 {
-    auto w = beginMessage(MsgKind::CrlMessage, requestId);
-    w.writeString(issuer);
-    w.writeU64(crlSeq);
-    w.writeU32(static_cast<std::uint32_t>(revokedSerials.size()));
-    for (std::uint64_t serial : revokedSerials)
-        w.writeU64(serial);
-    w.writeBytes(signature);
-    return w.take();
+    return encode(MsgKind::CrlMessage, *this);
 }
 
 // trustlint: untrusted-input
 std::optional<CrlMessage>
 CrlMessage::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::CrlMessage);
-    if (!r)
-        return std::nullopt;
-    CrlMessage m;
-    m.requestId = r->readU64();
-    m.issuer = r->readString();
-    m.crlSeq = r->readU64();
-    const std::uint32_t count = r->readU32();
-    // The count is attacker-controlled: bail out the moment the
-    // reader runs dry instead of reserving `count` elements.
-    for (std::uint32_t i = 0; i < count && r->ok(); ++i)
-        m.revokedSerials.push_back(r->readU64());
-    m.signature = r->readBytes();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<CrlMessage>(MsgKind::CrlMessage, payload);
 }
 
 // --- CrlAck ------------------------------------------------------------------
@@ -547,28 +424,14 @@ CrlMessage::deserialize(const core::Bytes &payload)
 core::Bytes
 CrlAck::serialize() const
 {
-    auto w = beginMessage(MsgKind::CrlAck, requestId);
-    w.writeString(domain);
-    w.writeU64(crlSeq);
-    w.writeU32(revokedCount);
-    return w.take();
+    return encode(MsgKind::CrlAck, *this);
 }
 
 // trustlint: untrusted-input
 std::optional<CrlAck>
 CrlAck::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::CrlAck);
-    if (!r)
-        return std::nullopt;
-    CrlAck m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.crlSeq = r->readU64();
-    m.revokedCount = r->readU32();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<CrlAck>(MsgKind::CrlAck, payload);
 }
 
 // --- ResetRequest ------------------------------------------------------------
@@ -576,41 +439,21 @@ CrlAck::deserialize(const core::Bytes &payload)
 core::Bytes
 ResetRequest::signedBody() const
 {
-    core::ByteWriter w;
-    w.writeU8(static_cast<std::uint8_t>(MsgKind::ResetRequest));
-    w.writeString(domain);
-    w.writeString(account);
-    w.writeU64(authSeq);
-    return w.take();
+    return authenticatedBody(MsgKind::ResetRequest, *this,
+                             /*cover_id=*/false);
 }
 
 core::Bytes
 ResetRequest::serialize() const
 {
-    auto w = beginMessage(MsgKind::ResetRequest, requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    w.writeU64(authSeq);
-    w.writeBytes(signature);
-    return w.take();
+    return encode(MsgKind::ResetRequest, *this);
 }
 
 // trustlint: untrusted-input
 std::optional<ResetRequest>
 ResetRequest::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::ResetRequest);
-    if (!r)
-        return std::nullopt;
-    ResetRequest m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.account = r->readString();
-    m.authSeq = r->readU64();
-    m.signature = r->readBytes();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<ResetRequest>(MsgKind::ResetRequest, payload);
 }
 
 } // namespace trust::trust

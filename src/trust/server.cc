@@ -29,18 +29,6 @@ sessionCipher(const core::Bytes &session_key, const core::Bytes &data,
 
 } // namespace
 
-StoredSession
-WebServer::storedSession(const SessionState &session)
-{
-    StoredSession stored;
-    stored.account = session.account;
-    stored.sessionKey = session.sessionKey;
-    stored.expectedNonce = session.expectedNonce;
-    stored.currentTag = session.currentTag;
-    stored.lastRequestId = session.lastRequestId;
-    return stored;
-}
-
 std::size_t
 WebServer::hashKey(std::string_view key)
 {
@@ -149,16 +137,10 @@ WebServer::attachStore(TrustStore *store)
         std::lock_guard<std::mutex> lock(shard.accountsMutex);
         shard.database[account] = *key;
     }
-    for (const auto &[id, stored] : state.sessions) {
-        SessionState session;
-        session.account = stored.account;
-        session.sessionKey = stored.sessionKey;
-        session.expectedNonce = stored.expectedNonce;
-        session.currentTag = stored.currentTag;
-        session.lastRequestId = stored.lastRequestId;
+    for (const auto &[id, session] : state.sessions) {
         SessionShard &shard = sessionShard(id);
         std::lock_guard<std::mutex> lock(shard.sessionsMutex);
-        shard.sessions[id] = std::move(session);
+        shard.sessions[id] = session;
     }
     {
         std::lock_guard<std::mutex> lock(revocationMutex_);
@@ -465,6 +447,21 @@ WebServer::eraseHandshakeNonce(AccountShard &shard, bool login,
         map.erase(it);
 }
 
+// trustlint: validator
+bool
+WebServer::nonceOutstanding(const AccountShard &shard, bool login,
+                            const std::string &account,
+                            const core::Bytes &nonce)
+{
+    const auto &map = login ? shard.pendingLogin : shard.pendingReg;
+    const auto it = map.find(account);
+    return it != map.end() &&
+           std::any_of(it->second.begin(), it->second.end(),
+                       [&](const PendingNonce &p) {
+                           return core::constantTimeEqual(p.nonce, nonce);
+                       });
+}
+
 void
 WebServer::pruneHandshakes(AccountShard &shard, core::Tick now)
 {
@@ -474,16 +471,8 @@ WebServer::pruneHandshakes(AccountShard &shard, core::Tick now)
     // displaced by the per-account bound) are skipped for free.
     while (!shard.handshakeFifo.empty()) {
         const HandshakeRef &front = shard.handshakeFifo.front();
-        const auto &map =
-            front.login ? shard.pendingLogin : shard.pendingReg;
-        const auto it = map.find(front.account);
-        const bool live =
-            it != map.end() &&
-            std::find_if(it->second.begin(), it->second.end(),
-                         [&](const PendingNonce &p) {
-                             return core::constantTimeEqual(p.nonce,
-                                                            front.nonce);
-                         }) != it->second.end();
+        const bool live = nonceOutstanding(shard, front.login,
+                                           front.account, front.nonce);
         const bool expired =
             ttl != 0 && now > ttl && front.issued < now - ttl;
         if (!live) {
@@ -567,15 +556,8 @@ WebServer::handleRegistrationSubmit(const RegistrationSubmit &submit)
     {
         AccountShard &shard = accountShard(submit.account);
         std::lock_guard<std::mutex> lock(shard.accountsMutex);
-        const auto pending = shard.pendingReg.find(submit.account);
-        const bool live =
-            pending != shard.pendingReg.end() &&
-            std::find_if(pending->second.begin(),
-                         pending->second.end(),
-                         [&](const PendingNonce &p) {
-                             return core::constantTimeEqual(
-                                 p.nonce, submit.nonce);
-                         }) != pending->second.end();
+        const bool live = nonceOutstanding(shard, /*login=*/false,
+                                           submit.account, submit.nonce);
         if (!live) {
             result.reason = "stale-nonce";
         }
@@ -632,15 +614,8 @@ WebServer::handleRegistrationSubmit(const RegistrationSubmit &submit)
     {
         AccountShard &shard = accountShard(submit.account);
         std::lock_guard<std::mutex> lock(shard.accountsMutex);
-        const auto pending = shard.pendingReg.find(submit.account);
-        const bool live =
-            pending != shard.pendingReg.end() &&
-            std::find_if(pending->second.begin(),
-                         pending->second.end(),
-                         [&](const PendingNonce &p) {
-                             return core::constantTimeEqual(
-                                 p.nonce, submit.nonce);
-                         }) != pending->second.end();
+        const bool live = nonceOutstanding(shard, /*login=*/false,
+                                           submit.account, submit.nonce);
         if (!live) {
             result.reason = "stale-nonce";
         } else {
@@ -692,7 +667,7 @@ WebServer::handleLoginRequest(const LoginRequest &request,
 
 ContentPage
 WebServer::makeContentPage(std::uint64_t session_id,
-                           SessionState &session, const std::string &tag,
+                           StoredSession &session, const std::string &tag,
                            std::uint64_t request_id)
 {
     session.currentTag = tag;
@@ -723,15 +698,8 @@ WebServer::handleLoginSubmit(const LoginSubmit &submit)
         AccountShard &shard = accountShard(submit.account);
         std::lock_guard<std::mutex> lock(shard.accountsMutex);
         known = shard.database.count(submit.account) > 0;
-        const auto pending = shard.pendingLogin.find(submit.account);
-        nonce_live =
-            pending != shard.pendingLogin.end() &&
-            std::find_if(pending->second.begin(),
-                         pending->second.end(),
-                         [&](const PendingNonce &p) {
-                             return core::constantTimeEqual(
-                                 p.nonce, submit.nonce);
-                         }) != pending->second.end();
+        nonce_live = nonceOutstanding(shard, /*login=*/true,
+                                      submit.account, submit.nonce);
     }
     if (!known) {
         note("login-rejected:unknown-account", submit.account);
@@ -762,14 +730,8 @@ WebServer::handleLoginSubmit(const LoginSubmit &submit)
     {
         AccountShard &shard = accountShard(submit.account);
         std::lock_guard<std::mutex> lock(shard.accountsMutex);
-        const auto pending = shard.pendingLogin.find(submit.account);
-        if (pending != shard.pendingLogin.end() &&
-            std::find_if(pending->second.begin(),
-                         pending->second.end(),
-                         [&](const PendingNonce &p) {
-                             return core::constantTimeEqual(
-                                 p.nonce, submit.nonce);
-                         }) != pending->second.end()) {
+        if (nonceOutstanding(shard, /*login=*/true, submit.account,
+                             submit.nonce)) {
             eraseHandshakeNonce(shard, /*login=*/true, submit.account,
                                 submit.nonce);
             consumed = true;
@@ -782,7 +744,7 @@ WebServer::handleLoginSubmit(const LoginSubmit &submit)
 
     const std::uint64_t session_id =
         nextSessionId_.fetch_add(1, std::memory_order_relaxed);
-    SessionState session;
+    StoredSession session;
     session.account = submit.account;
     session.sessionKey = *session_key;
     session.lastRequestId = submit.requestId;
@@ -796,7 +758,7 @@ WebServer::handleLoginSubmit(const LoginSubmit &submit)
         SessionShard &shard = sessionShard(session_id);
         std::lock_guard<std::mutex> lock(shard.sessionsMutex);
         if (store_)
-            store_->putSession(session_id, storedSession(session));
+            store_->putSession(session_id, session);
         shard.sessions[session_id] = std::move(session);
     }
     note("login-accepted", submit.account);
@@ -810,7 +772,7 @@ WebServer::handlePageRequest(const PageRequest &request)
         return std::nullopt;
 
     // Phase 1 (shard lock): snapshot the session state.
-    SessionState session;
+    StoredSession session;
     bool found = false;
     {
         SessionShard &shard = sessionShard(request.sessionId);
@@ -898,8 +860,7 @@ WebServer::handlePageRequest(const PageRequest &request)
                                     request.nonce)) {
             it->second = session;
             if (store_)
-                store_->putSession(request.sessionId,
-                                   storedSession(session));
+                store_->putSession(request.sessionId, session);
             committed = true;
         }
     }

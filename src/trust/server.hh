@@ -37,11 +37,9 @@
 #include "crypto/cert.hh"
 #include "hw/flock_hw.hh"
 #include "trust/messages.hh"
+#include "trust/store.hh"
 
 namespace trust::trust {
-
-class TrustStore;
-struct StoredSession;
 
 /**
  * Admission-control knobs (virtual-queue model). Each of the
@@ -292,21 +290,6 @@ class WebServer
     core::CounterSet counters() const;
 
   private:
-    struct SessionState
-    {
-        std::string account;
-        core::Bytes sessionKey;     // trustlint: secret
-        core::Bytes expectedNonce;  // trustlint: secret
-        std::string currentTag; ///< Tag of the page last served.
-        /**
-         * Highest request id accepted in this session. Ids are
-         * device-monotonic, so after MAC verification anything at or
-         * below this is a duplicate (late retransmission) and is
-         * rejected rather than re-served with a fresh nonce.
-         */
-        std::uint64_t lastRequestId = 0;
-    };
-
     /** One answered (from, id) pair with its original reply. */
     struct DedupEntry
     {
@@ -351,7 +334,7 @@ class WebServer
     struct SessionShard
     {
         mutable std::mutex sessionsMutex;
-        std::map<std::uint64_t, SessionState> sessions;
+        std::map<std::uint64_t, StoredSession> sessions;
     };
 
     /** Sender-keyed reply-dedup stripe (bounded FIFO, LRU-ish). */
@@ -411,9 +394,6 @@ class WebServer
     /** Drop dedup entries older than the TTL. Caller holds lock. */
     void pruneDedup(DedupShard &shard, core::Tick now);
 
-    /** Snapshot a live session into its persistent-record form. */
-    static StoredSession storedSession(const SessionState &session);
-
     /** Route one decoded-kind payload to its typed handler. */
     core::Bytes dispatch(MsgKind kind, const core::Bytes &request,
                          std::uint64_t request_id, core::Tick now);
@@ -434,6 +414,15 @@ class WebServer
     /** Drop expired/evicted FIFO refs. Caller holds shard mutex. */
     void pruneHandshakes(AccountShard &shard, core::Tick now);
 
+    /**
+     * True when @p nonce is still outstanding for @p account's
+     * registration (@p login false) or login handshake. Compares in
+     * constant time. Caller holds @p shard's mutex.
+     */
+    static bool nonceOutstanding(const AccountShard &shard, bool login,
+                                 const std::string &account,
+                                 const core::Bytes &nonce);
+
     /** Remove one nonce from a shard's maps + FIFO bookkeeping. */
     static void eraseHandshakeNonce(AccountShard &shard, bool login,
                                     const std::string &account,
@@ -441,7 +430,7 @@ class WebServer
 
     /** Build, MAC and log a content page for a session. */
     ContentPage makeContentPage(std::uint64_t session_id,
-                                SessionState &session,
+                                StoredSession &session,
                                 const std::string &tag,
                                 std::uint64_t request_id = 0);
 

@@ -30,30 +30,99 @@ fnv1a(const std::string &s)
     return h;
 }
 
-/** Canonical serialization of the mutable state fields (shared by
- *  snapshots and stateDigest(): ordered maps → deterministic bytes). */
-void
-writeStateBody(core::ByteWriter &w, const StoreState &state)
+// --- Record layouts -----------------------------------------------------
+//
+// Each persisted row is listed once and shared by the WAL records,
+// the replay decoder, the snapshot body and stateDigest(). The
+// revocation list is one vector field (core::writeField/readField).
+
+/** Account row: name, serialized RSA public key. */
+auto
+accountRow(core::FieldsOf<std::string> auto &account,
+           core::FieldsOf<core::Bytes> auto &key)
 {
-    w.writeU64(state.maxSessionId);
-    w.writeU32(static_cast<std::uint32_t>(state.accounts.size()));
-    for (const auto &[account, key] : state.accounts) {
-        w.writeString(account);
-        w.writeBytes(key);
+    return std::tie(account, key);
+}
+
+/** Session row: id, then the StoredSession fields. */
+auto
+sessionRow(core::FieldsOf<std::uint64_t> auto &id,
+           core::FieldsOf<StoredSession> auto &session)
+{
+    return std::tie(id, session.account, session.sessionKey,
+                    session.expectedNonce, session.currentTag,
+                    session.lastRequestId);
+}
+
+/**
+ * Visit the entries of map @p field across @p parts in key order.
+ * Parts hold disjoint keys (one per shard), so this is a k-way merge
+ * that never builds a merged copy.
+ */
+template <typename Map, typename Visit>
+void
+forEachInKeyOrder(const std::vector<const StoreState *> &parts,
+                  Map StoreState::*field, Visit visit)
+{
+    std::vector<typename Map::const_iterator> it;
+    std::vector<typename Map::const_iterator> end;
+    for (const StoreState *part : parts) {
+        it.push_back((part->*field).begin());
+        end.push_back((part->*field).end());
     }
-    w.writeU32(static_cast<std::uint32_t>(state.sessions.size()));
-    for (const auto &[id, session] : state.sessions) {
-        w.writeU64(id);
-        w.writeString(session.account);
-        w.writeBytes(session.sessionKey);
-        w.writeBytes(session.expectedNonce);
-        w.writeString(session.currentTag);
-        w.writeU64(session.lastRequestId);
+    for (;;) {
+        std::size_t best = parts.size();
+        for (std::size_t s = 0; s < parts.size(); ++s) {
+            if (it[s] == end[s])
+                continue;
+            if (best == parts.size() || it[s]->first < it[best]->first)
+                best = s;
+        }
+        if (best == parts.size())
+            return;
+        visit(*it[best]);
+        ++it[best];
     }
-    w.writeU32(
-        static_cast<std::uint32_t>(state.revokedSerials.size()));
-    for (const std::uint64_t serial : state.revokedSerials)
-        w.writeU64(serial);
+}
+
+/**
+ * Canonical serialization of the union of @p parts (shared by
+ * snapshots and stateDigest(); ordered maps → deterministic bytes):
+ * maxSessionId, the accounts, the sessions, the revocation list.
+ * @p flush runs after each row so a caller can stream @p w's bytes
+ * elsewhere instead of accumulating them.
+ */
+template <typename Flush>
+void
+writeStateBody(core::ByteWriter &w,
+               const std::vector<const StoreState *> &parts, Flush flush)
+{
+    std::uint64_t max_session = 0;
+    std::size_t n_accounts = 0;
+    std::size_t n_sessions = 0;
+    for (const StoreState *part : parts) {
+        max_session = std::max(max_session, part->maxSessionId);
+        n_accounts += part->accounts.size();
+        n_sessions += part->sessions.size();
+    }
+    w.writeU64(max_session);
+    w.writeU32(static_cast<std::uint32_t>(n_accounts));
+    forEachInKeyOrder(parts, &StoreState::accounts,
+                      [&](const auto &entry) {
+                          core::writeFields(
+                              w, accountRow(entry.first, entry.second));
+                          flush(w);
+                      });
+    w.writeU32(static_cast<std::uint32_t>(n_sessions));
+    forEachInKeyOrder(parts, &StoreState::sessions,
+                      [&](const auto &entry) {
+                          core::writeFields(
+                              w, sessionRow(entry.first, entry.second));
+                          flush(w);
+                      });
+    // Revocations route to shard 0 by construction; the merged view
+    // is the first part's list.
+    core::writeField(w, parts.front()->revokedSerials);
 }
 
 } // namespace
@@ -309,8 +378,7 @@ TrustStore::putAccount(const std::string &account,
     Shard &shard = *shards_[shardForAccount(account)];
     std::lock_guard<std::mutex> lock(shard.mutex);
     core::ByteWriter w;
-    w.writeString(account);
-    w.writeBytes(serializedKey);
+    core::writeFields(w, accountRow(account, serializedKey));
     appendLocked(shard, RecordType::AccountPut, w.take());
 }
 
@@ -320,7 +388,7 @@ TrustStore::eraseAccount(const std::string &account)
     Shard &shard = *shards_[shardForAccount(account)];
     std::lock_guard<std::mutex> lock(shard.mutex);
     core::ByteWriter w;
-    w.writeString(account);
+    core::writeField(w, account);
     appendLocked(shard, RecordType::AccountErase, w.take());
 }
 
@@ -330,12 +398,7 @@ TrustStore::putSession(std::uint64_t id, const StoredSession &session)
     Shard &shard = *shards_[shardForSession(id)];
     std::lock_guard<std::mutex> lock(shard.mutex);
     core::ByteWriter w;
-    w.writeU64(id);
-    w.writeString(session.account);
-    w.writeBytes(session.sessionKey);
-    w.writeBytes(session.expectedNonce);
-    w.writeString(session.currentTag);
-    w.writeU64(session.lastRequestId);
+    core::writeFields(w, sessionRow(id, session));
     appendLocked(shard, RecordType::SessionPut, w.take());
 }
 
@@ -345,7 +408,7 @@ TrustStore::eraseSession(std::uint64_t id)
     Shard &shard = *shards_[shardForSession(id)];
     std::lock_guard<std::mutex> lock(shard.mutex);
     core::ByteWriter w;
-    w.writeU64(id);
+    core::writeField(w, id);
     appendLocked(shard, RecordType::SessionErase, w.take());
 }
 
@@ -357,9 +420,7 @@ TrustStore::setRevocations(const std::vector<std::uint64_t> &serials)
     Shard &shard = *shards_[0];
     std::lock_guard<std::mutex> lock(shard.mutex);
     core::ByteWriter w;
-    w.writeU32(static_cast<std::uint32_t>(serials.size()));
-    for (const std::uint64_t serial : serials)
-        w.writeU64(serial);
+    core::writeField(w, serials);
     appendLocked(shard, RecordType::Revocations, w.take());
 }
 
@@ -384,28 +445,26 @@ TrustStore::applyRecord(StoreState &state, const core::Bytes &payload)
     r.readU64(); // seq: tracked by the caller
     switch (static_cast<RecordType>(type)) {
       case RecordType::AccountPut: {
-        const std::string account = r.readString();
-        const core::Bytes key = r.readBytes();
+        std::string account;
+        core::Bytes key;
+        core::readFields(r, accountRow(account, key));
         if (!r.ok() || !r.atEnd())
             return false;
-        state.accounts[account] = key;
+        state.accounts[account] = std::move(key);
         return true;
       }
       case RecordType::AccountErase: {
-        const std::string account = r.readString();
+        std::string account;
+        core::readField(r, account);
         if (!r.ok() || !r.atEnd())
             return false;
         state.accounts.erase(account);
         return true;
       }
       case RecordType::SessionPut: {
-        const std::uint64_t id = r.readU64();
+        std::uint64_t id = 0;
         StoredSession session;
-        session.account = r.readString();
-        session.sessionKey = r.readBytes();
-        session.expectedNonce = r.readBytes();
-        session.currentTag = r.readString();
-        session.lastRequestId = r.readU64();
+        core::readFields(r, sessionRow(id, session));
         if (!r.ok() || !r.atEnd())
             return false;
         state.sessions[id] = std::move(session);
@@ -414,20 +473,16 @@ TrustStore::applyRecord(StoreState &state, const core::Bytes &payload)
         return true;
       }
       case RecordType::SessionErase: {
-        const std::uint64_t id = r.readU64();
+        std::uint64_t id = 0;
+        core::readField(r, id);
         if (!r.ok() || !r.atEnd())
             return false;
         state.sessions.erase(id);
         return true;
       }
       case RecordType::Revocations: {
-        const std::uint32_t count = r.readU32();
-        if (count > payload.size()) // cheap sanity bound
-            return false;
         std::vector<std::uint64_t> serials;
-        serials.reserve(count);
-        for (std::uint32_t i = 0; i < count && r.ok(); ++i)
-            serials.push_back(r.readU64());
+        core::readField(r, serials);
         if (!r.ok() || !r.atEnd())
             return false;
         state.revokedSerials = std::move(serials);
@@ -444,7 +499,7 @@ TrustStore::serializeSnapshot(const StoreState &state)
     // logically equal states produce identical snapshot bytes.
     core::ByteWriter body;
     body.writeU64(state.lastSeq);
-    writeStateBody(body, state);
+    writeStateBody(body, {&state}, [](core::ByteWriter &) {});
 
     const core::Bytes payload = body.take();
     core::ByteWriter w;
@@ -469,35 +524,26 @@ TrustStore::parseSnapshot(const core::Bytes &blob, StoreState *state)
         core::wal::crc32(payload) != expected_crc)
         return false;
 
+    // Counts are untrusted: every loop stops once the reader runs dry.
     StoreState out;
     core::ByteReader b(payload);
     out.lastSeq = b.readU64();
     out.maxSessionId = b.readU64();
     const std::uint32_t n_accounts = b.readU32();
-    if (n_accounts > payload.size())
-        return false;
     for (std::uint32_t i = 0; i < n_accounts && b.ok(); ++i) {
-        const std::string account = b.readString();
-        out.accounts[account] = b.readBytes();
+        std::string account;
+        core::Bytes key;
+        core::readFields(b, accountRow(account, key));
+        out.accounts[account] = std::move(key);
     }
     const std::uint32_t n_sessions = b.readU32();
-    if (!b.ok() || n_sessions > payload.size())
-        return false;
     for (std::uint32_t i = 0; i < n_sessions && b.ok(); ++i) {
-        const std::uint64_t id = b.readU64();
+        std::uint64_t id = 0;
         StoredSession session;
-        session.account = b.readString();
-        session.sessionKey = b.readBytes();
-        session.expectedNonce = b.readBytes();
-        session.currentTag = b.readString();
-        session.lastRequestId = b.readU64();
+        core::readFields(b, sessionRow(id, session));
         out.sessions[id] = std::move(session);
     }
-    const std::uint32_t n_revoked = b.readU32();
-    if (!b.ok() || n_revoked > payload.size())
-        return false;
-    for (std::uint32_t i = 0; i < n_revoked && b.ok(); ++i)
-        out.revokedSerials.push_back(b.readU64());
+    core::readField(b, out.revokedSerials);
     if (!b.ok() || !b.atEnd())
         return false;
     *state = std::move(out);
@@ -566,11 +612,10 @@ TrustStore::stateDigest() const
 
     // Hold every shard lock for the duration (index order; mutation
     // paths only ever hold ONE shard lock and never take another, so
-    // the order is acyclic) and stream the canonical merged
-    // serialization through the hash via a k-way merge of the
-    // per-shard ordered maps — a million-account digest never
-    // materializes a merged copy. The byte stream is exactly
-    // writeStateBody() over the merged state, so the digest is
+    // the order is acyclic) and stream writeStateBody() — the
+    // snapshot body's encoder — over all shard partitions through the
+    // hash, one row at a time: a million-account digest never
+    // materializes a merged copy. The merge makes the byte stream
     // independent of the shard count: equal logical content digests
     // equal regardless of partitioning or history (full replay vs
     // snapshot + suffix). lastSeq is excluded on purpose for the
@@ -580,96 +625,16 @@ TrustStore::stateDigest() const
     for (const auto &shard : shards_)
         locks.emplace_back(shard->mutex);
 
+    std::vector<const StoreState *> parts;
+    for (const auto &shard : shards_)
+        parts.push_back(&shard->state);
     crypto::Sha256 hash;
-    std::uint64_t max_session = 0;
-    std::size_t n_accounts = 0;
-    std::size_t n_sessions = 0;
-    for (const auto &shard : shards_) {
-        max_session =
-            std::max(max_session, shard->state.maxSessionId);
-        n_accounts += shard->state.accounts.size();
-        n_sessions += shard->state.sessions.size();
-    }
-    {
-        core::ByteWriter w;
-        w.writeU64(max_session);
-        w.writeU32(static_cast<std::uint32_t>(n_accounts));
-        hash.update(w.take());
-    }
-
-    using AccountIt =
-        std::map<std::string, core::Bytes>::const_iterator;
-    std::vector<AccountIt> acc_it;
-    std::vector<AccountIt> acc_end;
-    for (const auto &shard : shards_) {
-        acc_it.push_back(shard->state.accounts.begin());
-        acc_end.push_back(shard->state.accounts.end());
-    }
-    for (;;) {
-        std::size_t best = shards_.size();
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            if (acc_it[s] == acc_end[s])
-                continue;
-            if (best == shards_.size() ||
-                acc_it[s]->first < acc_it[best]->first)
-                best = s;
-        }
-        if (best == shards_.size())
-            break;
-        core::ByteWriter w;
-        w.writeString(acc_it[best]->first);
-        w.writeBytes(acc_it[best]->second);
-        hash.update(w.take());
-        ++acc_it[best];
-    }
-
-    {
-        core::ByteWriter w;
-        w.writeU32(static_cast<std::uint32_t>(n_sessions));
-        hash.update(w.take());
-    }
-    using SessionIt =
-        std::map<std::uint64_t, StoredSession>::const_iterator;
-    std::vector<SessionIt> ses_it;
-    std::vector<SessionIt> ses_end;
-    for (const auto &shard : shards_) {
-        ses_it.push_back(shard->state.sessions.begin());
-        ses_end.push_back(shard->state.sessions.end());
-    }
-    for (;;) {
-        std::size_t best = shards_.size();
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            if (ses_it[s] == ses_end[s])
-                continue;
-            if (best == shards_.size() ||
-                ses_it[s]->first < ses_it[best]->first)
-                best = s;
-        }
-        if (best == shards_.size())
-            break;
-        const StoredSession &session = ses_it[best]->second;
-        core::ByteWriter w;
-        w.writeU64(ses_it[best]->first);
-        w.writeString(session.account);
-        w.writeBytes(session.sessionKey);
-        w.writeBytes(session.expectedNonce);
-        w.writeString(session.currentTag);
-        w.writeU64(session.lastRequestId);
-        hash.update(w.take());
-        ++ses_it[best];
-    }
-
-    {
-        // Revocations route to shard 0 by construction; the merged
-        // view is that shard's list.
-        core::ByteWriter w;
-        const std::vector<std::uint64_t> &revoked =
-            shards_[0]->state.revokedSerials;
-        w.writeU32(static_cast<std::uint32_t>(revoked.size()));
-        for (const std::uint64_t serial : revoked)
-            w.writeU64(serial);
-        hash.update(w.take());
-    }
+    core::ByteWriter w;
+    writeStateBody(w, parts,
+                   [&hash](core::ByteWriter &row) {
+                       hash.update(row.take());
+                   });
+    hash.update(w.take());
     return core::hexEncode(hash.finish());
 }
 

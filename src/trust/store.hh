@@ -89,13 +89,19 @@ struct StorePolicy
     double compactionFactor = 2.0;
 };
 
-/** One persisted session row (mirror of WebServer::SessionState). */
+/** One session: the WebServer's live row and its persisted record. */
 struct StoredSession
 {
     std::string account;
     core::Bytes sessionKey;    // trustlint: secret
     core::Bytes expectedNonce; // trustlint: secret
-    std::string currentTag;
+    std::string currentTag; ///< Tag of the page last served.
+    /**
+     * Highest request id accepted in this session. Ids are
+     * device-monotonic, so after MAC verification anything at or
+     * below this is a duplicate (late retransmission) and is
+     * rejected rather than re-served with a fresh nonce.
+     */
     std::uint64_t lastRequestId = 0;
 };
 
