@@ -1,66 +1,9 @@
 #include "core/obs/metrics.hh"
 
-#include <algorithm>
-
 #include "core/logging.hh"
 #include "core/obs/json.hh"
 
 namespace trust::core::obs {
-
-HistogramMetric::HistogramMetric(double lo, double hi, int bins)
-    : lo_(lo), hi_(hi), binWidth_((hi - lo) / bins),
-      counts_(static_cast<std::size_t>(bins))
-{
-    TRUST_ASSERT(hi > lo && bins > 0,
-                 "HistogramMetric: bad bin layout");
-}
-
-void
-HistogramMetric::observe(double x)
-{
-    total_.fetch_add(1, std::memory_order_relaxed);
-    // fetch_add on atomic<double> needs a CAS loop pre-C++20 fp
-    // atomics support; relaxed CAS is fine for a statistic.
-    double expected = sum_.load(std::memory_order_relaxed);
-    while (!sum_.compare_exchange_weak(expected, expected + x,
-                                       std::memory_order_relaxed)) {
-    }
-    if (x < lo_) {
-        underflow_.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-    if (x >= hi_) {
-        overflow_.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-    auto bin = static_cast<std::size_t>((x - lo_) / binWidth_);
-    if (bin >= counts_.size())
-        bin = counts_.size() - 1;
-    counts_[bin].fetch_add(1, std::memory_order_relaxed);
-}
-
-Histogram
-HistogramMetric::snapshot() const
-{
-    std::vector<std::uint64_t> counts(counts_.size());
-    for (std::size_t i = 0; i < counts_.size(); ++i)
-        counts[i] = counts_[i].load(std::memory_order_relaxed);
-    return Histogram::fromCounts(
-        lo_, hi_, std::move(counts),
-        underflow_.load(std::memory_order_relaxed),
-        overflow_.load(std::memory_order_relaxed));
-}
-
-void
-HistogramMetric::reset()
-{
-    for (auto &c : counts_)
-        c.store(0, std::memory_order_relaxed);
-    underflow_.store(0, std::memory_order_relaxed);
-    overflow_.store(0, std::memory_order_relaxed);
-    total_.store(0, std::memory_order_relaxed);
-    sum_.store(0.0, std::memory_order_relaxed);
-}
 
 std::string
 MetricsRegistry::flatten(std::string_view name,
@@ -83,84 +26,81 @@ MetricsRegistry::flatten(std::string_view name,
     return key;
 }
 
-Counter &
-MetricsRegistry::counter(std::string_view name)
+void
+MetricsRegistry::add(std::string_view name,
+                     std::initializer_list<Label> labels,
+                     std::uint64_t delta)
 {
+    const std::string key = flatten(name, labels);
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = counters_.find(name);
-    if (it == counters_.end())
-        it = counters_
-                 .emplace(std::string(name),
-                          std::make_unique<Counter>())
-                 .first;
-    return *it->second;
+    counters_.bump(key, delta);
 }
 
-Counter &
-MetricsRegistry::counter(std::string_view name,
-                         std::initializer_list<Label> labels)
+void
+MetricsRegistry::set(std::string_view name,
+                     std::initializer_list<Label> labels, double value)
 {
-    return counter(flatten(name, labels));
-}
-
-Gauge &
-MetricsRegistry::gauge(std::string_view name)
-{
+    std::string key = flatten(name, labels);
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = gauges_.find(name);
-    if (it == gauges_.end())
-        it = gauges_
-                 .emplace(std::string(name), std::make_unique<Gauge>())
-                 .first;
-    return *it->second;
+    gauges_.insert_or_assign(std::move(key), value);
 }
 
-Gauge &
-MetricsRegistry::gauge(std::string_view name,
-                       std::initializer_list<Label> labels)
-{
-    return gauge(flatten(name, labels));
-}
-
-HistogramMetric &
-MetricsRegistry::histogram(std::string_view name, double lo, double hi,
-                           int bins)
+void
+MetricsRegistry::observe(std::string_view name, double lo, double hi,
+                         int bins, double x)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = histograms_.find(name);
     if (it == histograms_.end()) {
-        it = histograms_
-                 .emplace(std::string(name),
-                          std::make_unique<HistogramMetric>(lo, hi,
-                                                            bins))
+        it = histograms_.emplace(std::string(name), Histogram(lo, hi, bins))
                  .first;
-    } else if (it->second->lo() != lo || it->second->hi() != hi ||
-               it->second->bins() != bins) {
+    } else if (it->second.lo() != lo || it->second.hi() != hi ||
+               it->second.bins() != bins) {
         TRUST_PANIC("MetricsRegistry: histogram '" +
                     std::string(name) +
                     "' redefined with a different bin layout");
     }
-    return *it->second;
+    it->second.add(x);
 }
 
-HistogramMetric &
-MetricsRegistry::histogram(std::string_view name,
-                           std::initializer_list<Label> labels,
-                           double lo, double hi, int bins)
+std::uint64_t
+MetricsRegistry::counter(std::string_view name,
+                         std::initializer_list<Label> labels) const
 {
-    return histogram(flatten(name, labels), lo, hi, bins);
+    const std::string key = flatten(name, labels);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return counters_.get(key);
+}
+
+double
+MetricsRegistry::gauge(std::string_view name,
+                       std::initializer_list<Label> labels) const
+{
+    const std::string key = flatten(name, labels);
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = gauges_.find(key);
+    return it == gauges_.end() ? 0.0 : it->second;
+}
+
+std::optional<Histogram>
+MetricsRegistry::histogram(std::string_view name) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = histograms_.find(name);
+    if (it == histograms_.end())
+        return std::nullopt;
+    return it->second;
 }
 
 void
 MetricsRegistry::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto &[name, c] : counters_)
-        c->reset();
+    counters_.zero();
     for (auto &[name, g] : gauges_)
-        g->reset();
+        g = 0.0;
     for (auto &[name, h] : histograms_)
-        h->reset();
+        h = Histogram(h.lo(), h.hi(), h.bins());
 }
 
 std::string
@@ -171,34 +111,33 @@ MetricsRegistry::toJson() const
     w.beginObject();
     w.key("counters");
     w.beginObject();
-    for (const auto &[name, c] : counters_)
-        w.kv(name, c->value());
+    for (const auto &[name, c] : counters_.all())
+        w.kv(name, c);
     w.endObject();
     w.key("gauges");
     w.beginObject();
     for (const auto &[name, g] : gauges_)
-        w.kv(name, g->value());
+        w.kv(name, g);
     w.endObject();
     w.key("histograms");
     w.beginObject();
     for (const auto &[name, h] : histograms_) {
-        const Histogram snap = h->snapshot();
         w.key(name);
         w.beginObject();
-        w.kv("lo", snap.lo());
-        w.kv("hi", snap.hi());
-        w.kv("count", snap.total());
-        const std::uint64_t n = h->count();
-        w.kv("mean", n ? h->sum() / static_cast<double>(n) : 0.0, 6);
-        w.kv("p50", snap.quantile(0.50), 6);
-        w.kv("p95", snap.quantile(0.95), 6);
-        w.kv("p99", snap.quantile(0.99), 6);
-        w.kv("underflow", snap.underflow());
-        w.kv("overflow", snap.overflow());
+        w.kv("lo", h.lo());
+        w.kv("hi", h.hi());
+        const std::uint64_t n = h.total();
+        w.kv("count", n);
+        w.kv("mean", n ? h.sum() / static_cast<double>(n) : 0.0, 6);
+        w.kv("p50", h.quantile(0.50), 6);
+        w.kv("p95", h.quantile(0.95), 6);
+        w.kv("p99", h.quantile(0.99), 6);
+        w.kv("underflow", h.underflow());
+        w.kv("overflow", h.overflow());
         w.key("bins");
         w.beginArray();
-        for (int b = 0; b < snap.bins(); ++b)
-            w.value(snap.count(b));
+        for (int b = 0; b < h.bins(); ++b)
+            w.value(h.count(b));
         w.endArray();
         w.endObject();
     }
@@ -212,16 +151,14 @@ MetricsRegistry::toTable() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     Table table({"metric", "value"});
-    for (const auto &[name, c] : counters_)
-        table.addRow({name, std::to_string(c->value())});
+    for (const auto &[name, c] : counters_.all())
+        table.addRow({name, std::to_string(c)});
     for (const auto &[name, g] : gauges_)
-        table.addRow({name, Table::num(g->value(), 4)});
+        table.addRow({name, Table::num(g, 4)});
     for (const auto &[name, h] : histograms_) {
-        const Histogram snap = h->snapshot();
-        table.addRow({name + ".count", std::to_string(snap.total())});
-        table.addRow({name + ".p50", Table::num(snap.quantile(0.5), 4)});
-        table.addRow(
-            {name + ".p95", Table::num(snap.quantile(0.95), 4)});
+        table.addRow({name + ".count", std::to_string(h.total())});
+        table.addRow({name + ".p50", Table::num(h.quantile(0.5), 4)});
+        table.addRow({name + ".p95", Table::num(h.quantile(0.95), 4)});
     }
     return table;
 }

@@ -1,15 +1,15 @@
 /**
  * @file
- * Metrics registry: named counters, gauges and histograms with an
- * atomic (lock-free) fast path.
+ * Metrics registry: named counters, gauges and histograms.
  *
- * Design contract with the PR 1 thread pool: instrument handles are
- * resolved once (a mutex-protected name lookup) and then updated
- * with plain atomic operations, so workers on the fingerprint hot
- * path never serialize on a registry lock. Handles stay valid for
- * the life of the process — reset() zeroes values but never
- * deallocates an instrument, precisely so call sites may cache
- * references in function-local statics.
+ * The registry is a name-keyed store of plain values behind one
+ * mutex. Every update (add / set / observe) takes that mutex once,
+ * finds or creates the named value and applies the update under the
+ * same lock; there are no handles to cache. Counters live in a
+ * core::CounterSet, gauges in a map of doubles and histograms as
+ * core::Histogram values, so reporting reuses the stats machinery
+ * directly. reset() zeroes every value but keeps every name, so an
+ * export after a reset lists the same keys as before it.
  *
  * Snapshots export to JSON (via JsonWriter) and to the existing
  * core::Table/CSV helpers for bench output.
@@ -18,132 +18,57 @@
 #ifndef TRUST_CORE_OBS_METRICS_HH
 #define TRUST_CORE_OBS_METRICS_HH
 
-#include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "core/csv.hh"
 #include "core/stats.hh"
 
 namespace trust::core::obs {
 
-/** Monotonic event counter. */
-class Counter
-{
-  public:
-    void
-    add(std::uint64_t delta = 1)
-    {
-        value_.fetch_add(delta, std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-    void reset() { value_.store(0, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<std::uint64_t> value_{0};
-};
-
-/** Last-write-wins instantaneous value. */
-class Gauge
-{
-  public:
-    void
-    set(double v)
-    {
-        value_.store(v, std::memory_order_relaxed);
-    }
-
-    double
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-    void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<double> value_{0.0};
-};
-
-/**
- * Fixed-range histogram with atomic bins (uniform buckets plus
- * under/overflow, running sum for the mean). snapshot() converts to
- * the non-atomic core::Histogram so quantiles and merging reuse the
- * existing stats machinery.
- */
-class HistogramMetric
-{
-  public:
-    HistogramMetric(double lo, double hi, int bins);
-
-    void observe(double x);
-
-    double lo() const { return lo_; }
-    double hi() const { return hi_; }
-    int bins() const { return static_cast<int>(counts_.size()); }
-    std::uint64_t
-    count() const
-    {
-        return total_.load(std::memory_order_relaxed);
-    }
-    double sum() const { return sum_.load(std::memory_order_relaxed); }
-
-    /** Consistent-enough copy for reporting (relaxed reads). */
-    Histogram snapshot() const;
-
-    void reset();
-
-  private:
-    double lo_;
-    double hi_;
-    double binWidth_;
-    std::vector<std::atomic<std::uint64_t>> counts_;
-    std::atomic<std::uint64_t> underflow_{0};
-    std::atomic<std::uint64_t> overflow_{0};
-    std::atomic<std::uint64_t> total_{0};
-    std::atomic<double> sum_{0.0};
-};
-
 /** One (key, value) label pair; rendered as name{k=v,k2=v2}. */
 using Label = std::pair<std::string_view, std::string_view>;
 
-/** Registry of named instruments. */
+/** Registry of named counters, gauges and histograms. */
 class MetricsRegistry
 {
   public:
-    /** Resolve (creating on first use). References never dangle. */
-    Counter &counter(std::string_view name);
-    Counter &counter(std::string_view name,
-                     std::initializer_list<Label> labels);
-    Gauge &gauge(std::string_view name);
-    Gauge &gauge(std::string_view name,
-                 std::initializer_list<Label> labels);
+    /** Add @p delta to a counter (created at zero on first use). */
+    void add(std::string_view name,
+             std::initializer_list<Label> labels = {},
+             std::uint64_t delta = 1);
+
+    /** Set a gauge; the last write wins. */
+    void set(std::string_view name,
+             std::initializer_list<Label> labels, double value);
 
     /**
-     * Resolve a histogram; the (lo, hi, bins) shape is fixed by the
-     * first caller and later mismatched shapes panic (two call sites
-     * disagreeing about one metric is a bug, not a runtime
-     * condition).
+     * Record @p x in a histogram. The (lo, hi, bins) layout is fixed
+     * by the first caller and a later mismatched layout panics (two
+     * call sites disagreeing about one metric is a bug, not a
+     * runtime condition).
      */
-    HistogramMetric &histogram(std::string_view name, double lo,
-                               double hi, int bins);
-    HistogramMetric &histogram(std::string_view name,
-                               std::initializer_list<Label> labels,
-                               double lo, double hi, int bins);
+    void observe(std::string_view name, double lo, double hi, int bins,
+                 double x);
 
-    /** Zero every instrument (handles stay valid). */
+    /** Current counter value (0 if never added to). */
+    std::uint64_t counter(std::string_view name,
+                          std::initializer_list<Label> labels = {}) const;
+
+    /** Current gauge value (0 if never set). */
+    double gauge(std::string_view name,
+                 std::initializer_list<Label> labels = {}) const;
+
+    /** Copy of a histogram, or nullopt if never observed. */
+    std::optional<Histogram> histogram(std::string_view name) const;
+
+    /** Zero every value, keeping every name. */
     void reset();
 
     /** Export everything as a JSON document. */
@@ -158,13 +83,9 @@ class MetricsRegistry
 
   private:
     mutable std::mutex mutex_;
-    // Node-based maps: insertion never moves existing instruments.
-    std::map<std::string, std::unique_ptr<Counter>, std::less<>>
-        counters_;
-    std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-    std::map<std::string, std::unique_ptr<HistogramMetric>,
-             std::less<>>
-        histograms_;
+    CounterSet counters_;
+    std::map<std::string, double, std::less<>> gauges_;
+    std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 } // namespace trust::core::obs

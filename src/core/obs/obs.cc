@@ -67,17 +67,7 @@ audit()
 void
 setEnabled(bool on)
 {
-#if TRUST_OBS_ENABLED
     detail::g_runtimeEnabled.store(on, std::memory_order_relaxed);
-#else
-    (void)on;
-#endif
-}
-
-bool
-enabled()
-{
-    return enabledFast();
 }
 
 void

@@ -1,20 +1,13 @@
 /**
  * @file
  * Observability facade: one process-wide metrics registry, span
- * tracer and decision audit log, behind a two-level kill switch.
+ * tracer and decision audit log, behind one runtime switch.
  *
- * **Compile-time guard.** `TRUST_OBS_ENABLED` (a CMake option,
- * default ON) gates everything. When it is 0, `enabledFast()` is a
- * compile-time `false`, `TRUST_SPAN` expands to nothing, and every
- * instrumentation site guarded by `if (obs::enabledFast())` is dead
- * code the optimiser deletes — the instrumented binary is
- * bit-for-bit equivalent in the hot path.
- *
- * **Runtime flag.** Even when compiled in, observability is OFF by
- * default. `enabledFast()` is a single relaxed atomic load, so the
- * disabled-at-runtime cost in the fingerprint hot path is one
- * predictable branch (verified to stay within 2% of the
- * uninstrumented baseline by `bench_a10_parallel_pipeline`).
+ * **Runtime switch.** Observability is OFF by default and turned on
+ * with setEnabled(true). `enabledFast()` is a single relaxed atomic
+ * load, so the disabled cost in the fingerprint hot path is one
+ * predictable branch per site guarded by
+ * `if (obs::enabledFast())`, and TRUST_SPAN does nothing further.
  *
  * **Clocks.** Two related time sources:
  *  - `simNow()` is the installed Ecosystem event queue's time, or 0
@@ -39,10 +32,6 @@
 #include "core/obs/trace.hh"
 #include "core/sim_clock.hh"
 
-#ifndef TRUST_OBS_ENABLED
-#define TRUST_OBS_ENABLED 1
-#endif
-
 namespace trust::core::obs {
 
 namespace detail {
@@ -58,22 +47,14 @@ AuditLog &audit();
 /** Turn runtime collection on or off (default: off). */
 void setEnabled(bool on);
 
-/** Full check: compiled in AND runtime-enabled. */
-bool enabled();
-
 /**
- * The hot-path guard: compile-time false when observability is
- * compiled out, otherwise one relaxed atomic load. Instrumentation
- * sites write `if (obs::enabledFast()) { ... }`.
+ * The hot-path guard: one relaxed atomic load. Instrumentation sites
+ * write `if (obs::enabledFast()) { ... }`.
  */
 inline bool
 enabledFast()
 {
-#if TRUST_OBS_ENABLED
     return detail::g_runtimeEnabled.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
 }
 
 /**
@@ -151,8 +132,7 @@ class ScopedSpan
         std::string key("span/");
         key += name_;
         key += "_ms";
-        metrics().histogram(key, 0.0, 100.0, 200)
-            .observe(toMilliseconds(dur));
+        metrics().observe(key, 0.0, 100.0, 200, toMilliseconds(dur));
     }
 
     ScopedSpan(const ScopedSpan &) = delete;
@@ -169,13 +149,9 @@ class ScopedSpan
 #define TRUST_OBS_CONCAT2(a, b) a##b
 #define TRUST_OBS_CONCAT(a, b) TRUST_OBS_CONCAT2(a, b)
 
-#if TRUST_OBS_ENABLED
 /** Open a named span covering the rest of the enclosing scope. */
 #define TRUST_SPAN(name)                                               \
     ::trust::core::obs::ScopedSpan TRUST_OBS_CONCAT(trustSpan_,        \
                                                     __LINE__)(name)
-#else
-#define TRUST_SPAN(name) ((void)0)
-#endif
 
 #endif // TRUST_CORE_OBS_OBS_HH

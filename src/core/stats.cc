@@ -71,6 +71,7 @@ void
 Histogram::add(double x)
 {
     ++total_;
+    sum_ += x;
     if (x < lo_) {
         ++underflow_;
         return;
@@ -102,22 +103,7 @@ Histogram::merge(const Histogram &o)
     underflow_ += o.underflow_;
     overflow_ += o.overflow_;
     total_ += o.total_;
-}
-
-Histogram
-Histogram::fromCounts(double lo, double hi,
-                      std::vector<std::uint64_t> counts,
-                      std::uint64_t underflow, std::uint64_t overflow)
-{
-    TRUST_ASSERT(!counts.empty(), "Histogram::fromCounts: no bins");
-    Histogram h(lo, hi, static_cast<int>(counts.size()));
-    h.underflow_ = underflow;
-    h.overflow_ = overflow;
-    h.total_ = underflow + overflow;
-    for (const std::uint64_t c : counts)
-        h.total_ += c;
-    h.counts_ = std::move(counts);
-    return h;
+    sum_ += o.sum_;
 }
 
 double
@@ -151,6 +137,13 @@ void
 CounterSet::bump(const std::string &name, std::uint64_t delta)
 {
     counters_[name] += delta;
+}
+
+void
+CounterSet::zero()
+{
+    for (auto &[name, value] : counters_)
+        value = 0;
 }
 
 std::uint64_t

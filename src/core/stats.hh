@@ -71,15 +71,6 @@ class Histogram
     /** True when @p o has the same (lo, hi, bins) layout. */
     bool sameLayout(const Histogram &o) const;
 
-    /**
-     * Rebuild a histogram from previously captured raw bin counts
-     * (used by atomic metric snapshots).
-     */
-    static Histogram fromCounts(double lo, double hi,
-                                std::vector<std::uint64_t> counts,
-                                std::uint64_t underflow,
-                                std::uint64_t overflow);
-
     int bins() const { return static_cast<int>(counts_.size()); }
     double lo() const { return lo_; }
     double hi() const { return hi_; }
@@ -87,6 +78,8 @@ class Histogram
     std::uint64_t underflow() const { return underflow_; }
     std::uint64_t overflow() const { return overflow_; }
     std::uint64_t total() const { return total_; }
+    /** Sum of every observation, under/overflow included. */
+    double sum() const { return sum_; }
 
     /** Lower edge of a bin. */
     double binLo(int bin) const;
@@ -105,6 +98,7 @@ class Histogram
     std::uint64_t underflow_ = 0;
     std::uint64_t overflow_ = 0;
     std::uint64_t total_ = 0;
+    double sum_ = 0.0;
 };
 
 /** A named set of integer counters (simulation event bookkeeping). */
@@ -125,6 +119,9 @@ class CounterSet
 
     /** Reset every counter to zero. */
     void clear() { counters_.clear(); }
+
+    /** Zero every counter but keep its name listed in all(). */
+    void zero();
 
   private:
     std::map<std::string, std::uint64_t> counters_;

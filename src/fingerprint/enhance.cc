@@ -90,9 +90,8 @@ void
 publishCacheBytes(std::size_t bytes)
 {
     if (core::obs::enabledFast())
-        core::obs::metrics()
-            .gauge("fp/gabor-cache-bytes")
-            .set(static_cast<double>(bytes));
+        core::obs::metrics().set("fp/gabor-cache-bytes", {},
+                                 static_cast<double>(bytes));
 }
 
 /**

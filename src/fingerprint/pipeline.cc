@@ -109,9 +109,8 @@ matchTemplatesBatch(const std::vector<const FingerprintTemplate *> &views,
                                    query, query_pairs, params);
     }
     if (core::obs::enabledFast())
-        core::obs::metrics()
-            .counter("fp/templates-matched")
-            .add(views.size());
+        core::obs::metrics().add("fp/templates-matched", {},
+                                 views.size());
     return results;
 }
 
@@ -184,10 +183,8 @@ extractTemplate(const FingerprintImage &capture,
     }
     if (quality.score < params.minAcceptQuality) {
         if (core::obs::enabledFast())
-            core::obs::metrics()
-                .counter("fp/extract-rejected",
-                         {{"reason", "quality"}})
-                .add();
+            core::obs::metrics().add("fp/extract-rejected",
+                                     {{"reason", "quality"}});
         return std::nullopt;
     }
 
@@ -215,14 +212,12 @@ extractTemplate(const FingerprintImage &capture,
     }
     if (out.minutiae.empty()) {
         if (core::obs::enabledFast())
-            core::obs::metrics()
-                .counter("fp/extract-rejected",
-                         {{"reason", "no-minutiae"}})
-                .add();
+            core::obs::metrics().add("fp/extract-rejected",
+                                     {{"reason", "no-minutiae"}});
         return std::nullopt;
     }
     if (core::obs::enabledFast())
-        core::obs::metrics().counter("fp/extract-ok").add();
+        core::obs::metrics().add("fp/extract-ok");
     return out;
 }
 

@@ -14,9 +14,7 @@ noteFault(const char *kind, const Message &message)
 {
     if (!core::obs::enabledFast())
         return;
-    core::obs::metrics()
-        .counter("net/fault", {{"kind", kind}})
-        .add();
+    core::obs::metrics().add("net/fault", {{"kind", kind}});
     core::obs::audit().record("net", "fault",
                               {{"fault", kind},
                                {"from", message.from},

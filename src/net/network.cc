@@ -60,9 +60,8 @@ Network::send(const std::string &from, const std::string &to,
     if (adversary_ &&
         adversary_->onMessage(message) == Verdict::Drop) {
         if (core::obs::enabledFast())
-            core::obs::metrics()
-                .counter("net/dropped", {{"by", "adversary"}})
-                .add();
+            core::obs::metrics().add("net/dropped",
+                                     {{"by", "adversary"}});
         return;
     }
 

@@ -148,7 +148,7 @@ MobileDevice::beginExchange(std::uint64_t request_id,
     pending_.attempts = 1;
     pending_.nextTimeout = retryPolicy_.timeoutForAttempt(1);
     if (core::obs::enabledFast()) {
-        core::obs::metrics().counter("device/exchanges").add();
+        core::obs::metrics().add("device/exchanges");
         core::obs::tracer().asyncBegin(
             "device/exchange", pending_.opId,
             {{"domain", pending_.domain}});

@@ -101,6 +101,7 @@ class MobileDevice
     FlockModule &flock() { return flock_; }
     const FlockModule &flock() const { return flock_; }
     hw::BiometricTouchscreen &screen() { return screen_; }
+    const hw::BiometricTouchscreen &screen() const { return screen_; }
 
     /** Install the host-compromise profile. */
     void setMalware(const MalwareProfile &profile)

@@ -271,22 +271,6 @@ Fleet::run()
 
 // --- Storm orchestration -------------------------------------------------
 
-namespace {
-
-/** Deliberate press on the critical button (first sensor tile). */
-touch::TouchEvent
-criticalTouch(MobileDevice &device)
-{
-    touch::TouchEvent event;
-    event.position = device.screen().sensors()[0].region.center();
-    event.speed = 0.05; // deliberate press
-    event.gesture = touch::GestureType::Tap;
-    event.target = "critical-button";
-    return event;
-}
-
-} // namespace
-
 /** Replacement-phone parts staged by a parallel provisioning pass. */
 struct Storm::StagedDevice
 {

@@ -16,21 +16,6 @@ namespace {
 /** Modeled fingerprint-processor time for one template match. */
 constexpr core::Tick kMatchLatency = core::milliseconds(3);
 
-/** AES-CTR helper keyed by the 32-byte session key (first 16B). */
-core::Bytes
-sessionCipher(const core::Bytes &session_key, const core::Bytes &data,
-              std::uint64_t counter_tag)
-{
-    TRUST_ASSERT(session_key.size() >= 16,
-                 "sessionCipher: key too short");
-    const core::Bytes key(session_key.begin(), session_key.begin() + 16);
-    core::Bytes iv(16, 0);
-    for (int i = 0; i < 8; ++i)
-        iv[static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(counter_tag >> (8 * i));
-    return crypto::Aes128(key).ctrTransform(iv, data);
-}
-
 } // namespace
 
 FlockModule::FlockModule(std::string device_id,
@@ -173,9 +158,7 @@ FlockModule::noteTouch(TouchOutcome outcome)
     if (!core::obs::enabledFast())
         return;
     namespace obs = core::obs;
-    obs::metrics()
-        .counter("flock/touch", {{"outcome", toString(outcome)}})
-        .add();
+    obs::metrics().add("flock/touch", {{"outcome", toString(outcome)}});
     const RiskReport rr = risk_.report();
     const bool violated = risk_.violated();
     obs::audit().record(

@@ -2,6 +2,9 @@
 
 #include <utility>
 
+#include "core/logging.hh"
+#include "crypto/aes128.hh"
+
 namespace trust::trust {
 
 namespace {
@@ -343,6 +346,20 @@ std::optional<ContentPage>
 ContentPage::deserialize(const core::Bytes &payload)
 {
     return decode<ContentPage>(MsgKind::ContentPage, payload);
+}
+
+core::Bytes
+sessionCipher(const core::Bytes &session_key, const core::Bytes &data,
+              std::uint64_t session_id)
+{
+    TRUST_ASSERT(session_key.size() >= 16,
+                 "sessionCipher: key too short");
+    const core::Bytes key(session_key.begin(), session_key.begin() + 16);
+    core::Bytes iv(16, 0);
+    for (int i = 0; i < 8; ++i)
+        iv[static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(session_id >> (8 * i));
+    return crypto::Aes128(key).ctrTransform(iv, data);
 }
 
 // --- PageRequest ------------------------------------------------------------

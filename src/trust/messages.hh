@@ -181,6 +181,16 @@ struct ContentPage
     deserialize(const core::Bytes &payload);
 };
 
+/**
+ * AES-CTR transform of ContentPage::pageContent: keyed by the first
+ * 16 bytes of the session key, IV = @p session_id little-endian in
+ * the low 8 bytes. The server encrypts and the FLock decrypts with
+ * this one call.
+ */
+core::Bytes sessionCipher(const core::Bytes &session_key,
+                          const core::Bytes &data,
+                          std::uint64_t session_id);
+
 /** Device -> server: one continuous-auth page request (Fig. 10). */
 struct PageRequest
 {

@@ -101,6 +101,19 @@ makeOptimizedScreen(const touch::UserBehavior &behavior, int tiles,
         panel_spec, placement::toPlacedSensors(placement));
 }
 
+touch::TouchEvent
+criticalTouch(const MobileDevice &device)
+{
+    TRUST_ASSERT(!device.screen().sensors().empty(),
+                 "criticalTouch: device has no sensor tiles");
+    touch::TouchEvent event;
+    event.position = device.screen().sensors()[0].region.center();
+    event.speed = 0.05; // deliberate press
+    event.gesture = touch::GestureType::Tap;
+    event.target = "critical-button";
+    return event;
+}
+
 SessionOutcome
 runBrowsingSession(Ecosystem &ecosystem, MobileDevice &device,
                    WebServer &server,
@@ -124,22 +137,6 @@ runBrowsingSession(core::EventQueue &queue, MobileDevice &device,
     SessionOutcome outcome;
     const std::string &domain = server.domain();
 
-    // The registration / login confirmation buttons are drawn over
-    // the first sensor tile (critical-button countermeasure).
-    TRUST_ASSERT(!device.screen().sensors().empty(),
-                 "runBrowsingSession: device has no sensor tiles");
-    const core::Vec2 critical_button =
-        device.screen().sensors()[0].region.center();
-
-    auto critical_touch = [&]() {
-        touch::TouchEvent event;
-        event.position = critical_button;
-        event.speed = 0.05; // deliberate press
-        event.gesture = touch::GestureType::Tap;
-        event.target = "critical-button";
-        return event;
-    };
-
     // Registration (Fig. 9). A rejected confirmation touch (per
     // touch FRR of partial prints) just means the user presses the
     // button again, re-requesting the page.
@@ -148,7 +145,7 @@ runBrowsingSession(core::EventQueue &queue, MobileDevice &device,
          ++attempt) {
         device.startRegistration(domain, account);
         queue.run();
-        device.onTouch(critical_touch(), &finger);
+        device.onTouch(criticalTouch(device), &finger);
         queue.run();
     }
     outcome.registered = device.registrationComplete(domain);
@@ -160,7 +157,7 @@ runBrowsingSession(core::EventQueue &queue, MobileDevice &device,
          attempt < 16 && !device.sessionActive(domain); ++attempt) {
         device.startLogin(domain);
         queue.run();
-        device.onTouch(critical_touch(), &finger);
+        device.onTouch(criticalTouch(device), &finger);
         queue.run();
     }
     outcome.loggedIn = device.sessionActive(domain);
@@ -183,7 +180,7 @@ runBrowsingSession(core::EventQueue &queue, MobileDevice &device,
              ++attempt) {
             device.resumeSession(domain);
             queue.run();
-            device.onTouch(critical_touch(), &finger);
+            device.onTouch(criticalTouch(device), &finger);
             queue.run();
         }
         device.onTouch(event, &finger);

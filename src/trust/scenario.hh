@@ -92,6 +92,16 @@ hw::BiometricTouchscreen
 makeOptimizedScreen(const touch::UserBehavior &behavior, int tiles,
                     double tile_side_mm, std::uint64_t seed);
 
+/**
+ * Deliberate press on the critical button. Registration and login
+ * confirmation buttons are drawn over the device's first sensor
+ * tile (the paper's critical-button countermeasure). The device is
+ * taken by const reference, so a same-named helper on a non-const
+ * device in another namespace is preferred by overload resolution
+ * rather than made ambiguous by argument-dependent lookup.
+ */
+touch::TouchEvent criticalTouch(const MobileDevice &device);
+
 /** Outcome of a scripted end-to-end browsing session. */
 struct SessionOutcome
 {

@@ -4,30 +4,12 @@
 
 #include "core/logging.hh"
 #include "core/obs/obs.hh"
-#include "crypto/aes128.hh"
 #include "crypto/hmac.hh"
 #include "crypto/sha256.hh"
 #include "trust/frames.hh"
 #include "trust/store.hh"
 
 namespace trust::trust {
-
-namespace {
-
-/** AES-CTR page encryption (mirror of FlockModule::sessionCipher). */
-core::Bytes
-sessionCipher(const core::Bytes &session_key, const core::Bytes &data,
-              std::uint64_t counter_tag)
-{
-    const core::Bytes key(session_key.begin(), session_key.begin() + 16);
-    core::Bytes iv(16, 0);
-    for (int i = 0; i < 8; ++i)
-        iv[static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(counter_tag >> (8 * i));
-    return crypto::Aes128(key).ctrTransform(iv, data);
-}
-
-} // namespace
 
 std::size_t
 WebServer::hashKey(std::string_view key)

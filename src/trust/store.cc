@@ -764,20 +764,20 @@ TrustStore::publishMetrics() const
     if (!core::obs::enabledFast())
         return;
     auto &m = core::obs::metrics();
-    m.gauge("store/accounts", {{"store", name_}})
-        .set(static_cast<double>(liveAccounts()));
-    m.gauge("store/sessions", {{"store", name_}})
-        .set(static_cast<double>(liveSessions()));
-    m.gauge("store/log-bytes", {{"store", name_}})
-        .set(static_cast<double>(logBytes()));
-    m.gauge("store/segments", {{"store", name_}})
-        .set(static_cast<double>(segmentCount()));
-    m.gauge("store/snapshots", {{"store", name_}})
-        .set(static_cast<double>(snapshotsWritten()));
-    m.gauge("store/snapshot-bytes", {{"store", name_}})
-        .set(static_cast<double>(snapshotBytesWritten()));
-    m.gauge("store/segments-gcd", {{"store", name_}})
-        .set(static_cast<double>(segmentsGcd()));
+    m.set("store/accounts", {{"store", name_}},
+          static_cast<double>(liveAccounts()));
+    m.set("store/sessions", {{"store", name_}},
+          static_cast<double>(liveSessions()));
+    m.set("store/log-bytes", {{"store", name_}},
+          static_cast<double>(logBytes()));
+    m.set("store/segments", {{"store", name_}},
+          static_cast<double>(segmentCount()));
+    m.set("store/snapshots", {{"store", name_}},
+          static_cast<double>(snapshotsWritten()));
+    m.set("store/snapshot-bytes", {{"store", name_}},
+          static_cast<double>(snapshotBytesWritten()));
+    m.set("store/segments-gcd", {{"store", name_}},
+          static_cast<double>(segmentsGcd()));
 }
 
 } // namespace trust::trust

@@ -165,7 +165,6 @@ TEST(ObsTrace, ClearDropsEventsButKeepsOpenSpans)
     EXPECT_EQ(tracer.unbalancedEnds(), 0u);
 }
 
-#if TRUST_OBS_ENABLED
 TEST(ObsTrace, ScopedSpanHonoursRuntimeSwitch)
 {
     obs::resetAll();
@@ -184,23 +183,11 @@ TEST(ObsTrace, ScopedSpanHonoursRuntimeSwitch)
     EXPECT_EQ(obs::tracer().eventCount(), 1u);
     EXPECT_EQ(obs::tracer().snapshot()[0].name, "on/span");
     // The RAII span also feeds the span-duration histogram.
-    EXPECT_EQ(
-        obs::metrics().histogram("span/on/span_ms", 0.0, 100.0, 200)
-            .count(),
-        1u);
+    const auto h = obs::metrics().histogram("span/on/span_ms");
+    ASSERT_TRUE(h.has_value());
+    EXPECT_EQ(h->total(), 1u);
+    EXPECT_FALSE(obs::metrics().histogram("span/off/span_ms"));
     obs::resetAll();
 }
-#else
-TEST(ObsTrace, ScopedSpanCompiledOutIsInert)
-{
-    obs::setEnabled(true); // runtime flag alone cannot enable it
-    EXPECT_FALSE(obs::enabled());
-    {
-        TRUST_SPAN("compiled/out");
-    }
-    obs::setEnabled(false);
-    EXPECT_EQ(obs::tracer().eventCount(), 0u);
-}
-#endif
 
 } // namespace

@@ -82,16 +82,6 @@ behavior(std::uint64_t user)
                trust::touch::keyboardLayout()});
 }
 
-trust::touch::TouchEvent
-criticalTouch(MobileDevice &device)
-{
-    trust::touch::TouchEvent event;
-    event.position = device.screen().sensors()[0].region.center();
-    event.speed = 0.05;
-    event.gesture = trust::touch::GestureType::Tap;
-    return event;
-}
-
 /**
  * Drive one full session against a store-backed server and return
  * the disk it persisted to (crashed clean: only synced bytes).

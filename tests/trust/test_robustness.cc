@@ -21,6 +21,7 @@ using trust::testing::goodCapture;
 using trust::testing::makeFlock;
 using trust::testing::trustCa;
 using trust::testing::trustFingers;
+using trust::trust::criticalTouch;
 using trust::trust::ErrorReply;
 using trust::trust::MsgKind;
 using trust::trust::peekKind;
@@ -169,16 +170,6 @@ behavior(std::uint64_t user)
     return trust::touch::UserBehavior::forUser(
         user, {trust::touch::homeScreenLayout(),
                trust::touch::keyboardLayout()});
-}
-
-trust::touch::TouchEvent
-criticalTouch(MobileDevice &device)
-{
-    trust::touch::TouchEvent event;
-    event.position = device.screen().sensors()[0].region.center();
-    event.speed = 0.05;
-    event.gesture = trust::touch::GestureType::Tap;
-    return event;
 }
 
 /** A short backoff schedule so exhaustion happens in test time. */
