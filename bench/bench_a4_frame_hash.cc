@@ -92,7 +92,7 @@ printFrameHashStudy()
         device.setMalware(malware);
         core::Rng rng(45);
         const auto outcome = proto::runBrowsingSession(
-            eco, device, server, behavior, finger, rng, 10, "alice");
+            eco.queue(), device, server, behavior, finger, rng, 10, "alice");
         const std::string detected =
             online ? std::to_string(server.counters().get(
                          "request-rejected:frame-hash")) +

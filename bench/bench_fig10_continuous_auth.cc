@@ -51,7 +51,7 @@ printContinuousAuthStudy()
     const std::uint64_t msgs0 = eco.network().messagesSent();
     const core::Tick busy0 = device.flock().busyTime();
     const auto outcome = proto::runBrowsingSession(
-        eco, device, server, behavior, owner, rng, 100, "alice");
+        eco.queue(), device, server, behavior, owner, rng, 100, "alice");
     const double pages = std::max(outcome.pagesReceived, 1);
 
     std::printf("Genuine 100-click session: %d pages, %d requests "
@@ -117,7 +117,7 @@ printContinuousAuthStudy()
             e.network(), "www.bank.com");
         e.network().setAdversary(replayer);
         core::Rng r(72);
-        (void)proto::runBrowsingSession(e, d, s, behavior, owner, r,
+        (void)proto::runBrowsingSession(e.queue(), d, s, behavior, owner, r,
                                         20, "alice");
         e.settle();
         attacks.addRow(
@@ -138,7 +138,7 @@ printContinuousAuthStudy()
         malware.forgeRequests = true;
         d.setMalware(malware);
         core::Rng r(74);
-        (void)proto::runBrowsingSession(e, d, s, behavior, owner, r,
+        (void)proto::runBrowsingSession(e.queue(), d, s, behavior, owner, r,
                                         20, "alice");
         attacks.addRow(
             {"malware request forgery",
@@ -160,7 +160,7 @@ printContinuousAuthStudy()
         malware.tamperFrames = true;
         d.setMalware(malware);
         core::Rng r(76);
-        (void)proto::runBrowsingSession(e, d, s, behavior, owner, r,
+        (void)proto::runBrowsingSession(e.queue(), d, s, behavior, owner, r,
                                         20, "alice");
         attacks.addRow(
             {"malware frame tampering",
@@ -186,7 +186,7 @@ BM_PageRequestRoundTrip(benchmark::State &state)
     auto &device = eco.addDevice("phone", behavior, owner);
     core::Rng rng(83);
     const auto outcome = proto::runBrowsingSession(
-        eco, device, server, behavior, owner, rng, 1, "alice");
+        eco.queue(), device, server, behavior, owner, rng, 1, "alice");
     if (!outcome.loggedIn) {
         state.SkipWithError("fixture login failed");
         return;

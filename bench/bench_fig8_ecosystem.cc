@@ -76,7 +76,7 @@ runEcosystemScaling()
             auto &server =
                 *servers[static_cast<std::size_t>(d % n_servers)];
             const auto outcome = proto::runBrowsingSession(
-                eco, device, server, behavior, finger, rng, 10,
+                eco.queue(), device, server, behavior, finger, rng, 10,
                 "user" + std::to_string(d));
             if (outcome.registered && outcome.loggedIn)
                 ++point.sessionsOk;
@@ -155,7 +155,7 @@ BM_FullSession(benchmark::State &state)
         auto &device = eco.addDevice("phone", behavior, finger);
         core::Rng rng(7);
         auto outcome = proto::runBrowsingSession(
-            eco, device, server, behavior, finger, rng, 5, "u");
+            eco.queue(), device, server, behavior, finger, rng, 5, "u");
         benchmark::DoNotOptimize(outcome);
     }
 }

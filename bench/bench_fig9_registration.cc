@@ -52,7 +52,7 @@ printRegistrationStudy()
     const core::Tick t0 = eco.queue().now();
     const core::Tick flock_busy0 = device.flock().busyTime();
     const auto outcome = proto::runBrowsingSession(
-        eco, device, server, behavior, finger, rng, 0, "alice");
+        eco.queue(), device, server, behavior, finger, rng, 0, "alice");
     const core::Tick elapsed = eco.queue().now() - t0;
     const core::Tick flock_busy =
         device.flock().busyTime() - flock_busy0;
@@ -104,7 +104,7 @@ printRegistrationStudy()
                 core::Rng(cfg.seed), p));
             core::Rng session_rng(cfg.seed + 1);
             const auto o = proto::runBrowsingSession(
-                e, d, s, behavior, finger, session_rng, 0, "alice");
+                e.queue(), d, s, behavior, finger, session_rng, 0, "alice");
             ok += o.registered;
         }
         loss.addRow({core::Table::num(p * 100.0, 0) + " %",
@@ -127,7 +127,7 @@ printRegistrationStudy()
             core::Rng(cfg.seed), 1.0, 2));
         core::Rng session_rng(cfg.seed + 1);
         const auto o = proto::runBrowsingSession(
-            e, d, s, behavior, finger, session_rng, 0, "alice");
+            e.queue(), d, s, behavior, finger, session_rng, 0, "alice");
         tampered_ok += o.registered;
     }
     std::printf("Registrations completed with every message "
@@ -143,9 +143,7 @@ BM_RegistrationCrypto(benchmark::State &state)
     trust::crypto::Csprng rng(std::uint64_t{41});
     trust::crypto::CertificateAuthority ca("CA", 512, rng);
     proto::FlockModule flock("bm-flock", ca.rootKey(), 42);
-    flock.installDeviceCertificate(ca.issue(
-        "bm-flock", trust::crypto::CertRole::FlockDevice,
-        flock.devicePublicKey()));
+    proto::certifyFlock(ca, flock);
     proto::WebServer server("www.x.com", ca, 43);
 
     core::Rng capture_rng(44);

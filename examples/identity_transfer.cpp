@@ -62,9 +62,9 @@ main()
 
     // Bind the old phone to two services.
     const auto bank_session = proto::runBrowsingSession(
-        ecosystem, old_phone, bank, behavior, alice, rng, 3, "alice");
+        ecosystem.queue(), old_phone, bank, behavior, alice, rng, 3, "alice");
     const auto mail_session = proto::runBrowsingSession(
-        ecosystem, old_phone, mail, behavior, alice, rng, 3, "alice");
+        ecosystem.queue(), old_phone, mail, behavior, alice, rng, 3, "alice");
     std::printf("Old phone bound to %zu services "
                 "(bank ok=%d, mail ok=%d)\n",
                 old_phone.flock().bindingCount(),
@@ -126,7 +126,7 @@ main()
                 "registered now = %s\n",
                 bank.accountRegistered("alice") ? "yes" : "no");
     const auto new_binding = proto::runBrowsingSession(
-        ecosystem, new_phone, bank, behavior, alice, rng, 2, "alice");
+        ecosystem.queue(), new_phone, bank, behavior, alice, rng, 2, "alice");
     std::printf("New phone re-registers after reset: %s\n",
                 new_binding.registered ? "ok" : "FAILED");
 

@@ -17,6 +17,7 @@
 #include "fingerprint/synthesis.hh"
 #include "touch/session.hh"
 #include "fingerprint/capture.hh"
+#include "trust/identity_risk.hh"
 #include "trust/local_manager.hh"
 #include "trust/scenario.hh"
 
@@ -24,26 +25,6 @@ namespace core = trust::core;
 namespace fingerprint = trust::fingerprint;
 namespace touch = trust::touch;
 namespace proto = trust::trust;
-
-namespace {
-
-const char *
-outcomeName(proto::TouchOutcome outcome)
-{
-    switch (outcome) {
-      case proto::TouchOutcome::Matched:
-        return "matched";
-      case proto::TouchOutcome::Rejected:
-        return "REJECTED";
-      case proto::TouchOutcome::LowQuality:
-        return "low-quality";
-      case proto::TouchOutcome::NotCovered:
-        return "off-sensor";
-    }
-    return "?";
-}
-
-} // namespace
 
 int
 main()
@@ -124,7 +105,7 @@ main()
         ++thief_touch_count;
         std::printf("  touch %2d at (%4.1f, %4.1f): %s\n",
                     thief_touch_count, event.position.x,
-                    event.position.y, outcomeName(outcome));
+                    event.position.y, proto::toString(outcome));
         if (guardian.state() == proto::LockState::Locked)
             break;
     }

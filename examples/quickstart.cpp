@@ -53,7 +53,7 @@ main()
 
     // 4. Register, log in, browse (the full protocol).
     const auto outcome = proto::runBrowsingSession(
-        ecosystem, phone, bank, behavior, owner, rng,
+        ecosystem.queue(), phone, bank, behavior, owner, rng,
         /*clicks=*/20, "alice");
 
     std::printf("\nSession outcome:\n");

@@ -58,7 +58,7 @@ main()
                 "the bank twice.\n\n");
 
     const auto outcome = proto::runBrowsingSession(
-        ecosystem, phone, bank, behavior, alice_finger, rng,
+        ecosystem.queue(), phone, bank, behavior, alice_finger, rng,
         /*clicks=*/15, "alice");
     ecosystem.settle();
 

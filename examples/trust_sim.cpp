@@ -187,7 +187,7 @@ main(int argc, char **argv)
             device.setMalware(malware);
         }
         const auto outcome = proto::runBrowsingSession(
-            eco, device, server, behavior, finger, rng, opt.clicks,
+            eco.queue(), device, server, behavior, finger, rng, opt.clicks,
             "user" + std::to_string(d));
         std::printf("phone-%d: registered=%d loggedIn=%d pages=%d "
                     "rejected=%d coverage=%.1f%%\n",

@@ -81,8 +81,10 @@ struct RsaKeyPair
 
 /**
  * Generate an RSA key pair with a modulus of @p modulus_bits bits
- * (e = 65537). 1024-bit is the simulation default; tests use 512 for
- * speed. Fatal if modulus_bits < 128.
+ * (e = 65537). The simulation configs (EcosystemConfig, FleetConfig,
+ * FlockConfig) all default to 512 bits for speed; README's caveat on
+ * `rsaBits` says how to ask for realistic sizes. Fatal if
+ * modulus_bits < 128.
  */
 RsaKeyPair rsaGenerate(std::size_t modulus_bits, Csprng &rng);
 

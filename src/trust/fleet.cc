@@ -28,14 +28,6 @@ channelSeedBase(std::uint64_t fleet_seed, int index)
            (static_cast<std::uint64_t>(index) + 1) * 0x100000001B3ull;
 }
 
-/** Server i's CSPRNG seed — shared by construction and restart. */
-std::uint64_t
-serverSeed(std::uint64_t fleet_seed, std::size_t index)
-{
-    return fleet_seed * 2654435761ull +
-           static_cast<std::uint64_t>(index) + 1;
-}
-
 } // namespace
 
 struct Fleet::Channel
@@ -47,11 +39,10 @@ struct Fleet::Channel
     core::EventQueue queue;
     net::Network network;
     // Provisioning artifacts staged across the build phases (the
-    // screen and FLock module are consumed by the device ctor).
+    // parts are consumed by the device ctor).
     std::optional<touch::UserBehavior> behavior;
     std::optional<fingerprint::MasterFinger> finger;
-    std::optional<hw::BiometricTouchscreen> screen;
-    std::optional<FlockModule> flock;
+    std::optional<DeviceParts> parts;
     std::unique_ptr<MobileDevice> device;
     WebServer *server = nullptr;
     core::obs::AuditLog buffer; ///< This channel's audit capture.
@@ -75,27 +66,13 @@ Fleet::Fleet(const FleetConfig &config, FleetHooks hooks)
 {
     // Shared servers (serial: key generation and certificate issue
     // draw from the CA's RNG and serial counter in a fixed order).
-    const int n_servers = std::max(config_.servers, 1);
-    servers_.reserve(static_cast<std::size_t>(n_servers));
-    recoveries_.resize(static_cast<std::size_t>(n_servers));
-    for (int s = 0; s < n_servers; ++s) {
-        servers_.push_back(std::make_unique<WebServer>(
-            "www.fleet" + std::to_string(s) + ".com", *ca_,
-            serverSeed(config_.seed, static_cast<std::size_t>(s)),
-            config_.rsaBits, config_.serverPolicy,
-            config_.flockConfig.display));
-        if (config_.storage) {
-            // Durable tier: recover whatever a previous Fleet (or a
-            // crash) left in this server's log, then log every new
-            // mutation. Recovery runs before any traffic.
-            stores_.push_back(std::make_unique<TrustStore>(
-                *config_.storage, "server" + std::to_string(s),
-                config_.storePolicy));
-            recoveries_[static_cast<std::size_t>(s)] =
-                stores_.back()->recover();
-            servers_.back()->attachStore(stores_.back().get());
-        }
-    }
+    const auto n_servers =
+        static_cast<std::size_t>(std::max(config_.servers, 1));
+    servers_.resize(n_servers);
+    stores_.resize(n_servers);
+    recoveries_.resize(n_servers);
+    for (std::size_t s = 0; s < n_servers; ++s)
+        startServer(s, std::nullopt);
 
     const int n = std::max(config_.devices, 0);
     channels_.reserve(static_cast<std::size_t>(n));
@@ -103,31 +80,19 @@ Fleet::Fleet(const FleetConfig &config, FleetHooks hooks)
         channels_.push_back(std::make_unique<Channel>(i, config_));
 
     // Provisioning that touches only channel-private state runs in
-    // parallel: behaviour synthesis, sensor placement, FLock key
-    // generation. Observability is captured per channel so any
-    // records land in the channel's buffer, not the global log.
-    core::parallelFor(0, n, 1, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-            Channel &ch = *channels_[static_cast<std::size_t>(i)];
-            core::obs::ScopedChannelObs capture(&ch.queue,
-                                                &ch.buffer);
-            const std::uint64_t uid =
-                static_cast<std::uint64_t>(ch.index) + 1;
-            ch.behavior.emplace(touch::UserBehavior::forUser(
-                uid, {touch::homeScreenLayout(),
-                      touch::keyboardLayout(),
-                      touch::browserLayout()}));
-            core::Rng finger_rng(ch.seedBase + 1);
-            ch.finger.emplace(
-                fingerprint::synthesizeFinger(uid, finger_rng));
-            ch.screen.emplace(makeOptimizedScreen(
-                *ch.behavior, config_.sensorTiles,
-                config_.tileSideMm, ch.seedBase + 2));
-            FlockConfig flock_config = config_.flockConfig;
-            flock_config.rsaBits = config_.rsaBits;
-            ch.flock.emplace(ch.name + "-flock", ca_->rootKey(),
-                             ch.seedBase + 3, flock_config);
-        }
+    // parallel: behaviour synthesis and staging (sensor placement,
+    // FLock key generation).
+    forEachChannel([this](Channel &ch) {
+        const std::uint64_t uid = static_cast<std::uint64_t>(ch.index) + 1;
+        ch.behavior.emplace(touch::UserBehavior::forUser(
+            uid, {touch::homeScreenLayout(), touch::keyboardLayout(),
+                  touch::browserLayout()}));
+        core::Rng finger_rng(ch.seedBase + 1);
+        ch.finger.emplace(fingerprint::synthesizeFinger(uid, finger_rng));
+        ch.parts.emplace(stageDevice(
+            *ch.behavior, config_.sensorTiles, config_.tileSideMm,
+            ch.seedBase + 2, ch.name + "-flock", ca_->rootKey(),
+            ch.seedBase + 3, config_.flockConfig, config_.rsaBits));
     });
 
     // Certificate issue is the one provisioning step with shared
@@ -136,15 +101,11 @@ Fleet::Fleet(const FleetConfig &config, FleetHooks hooks)
     // assembly and network wiring ride along (both cheap).
     for (int i = 0; i < n; ++i) {
         Channel &ch = *channels_[static_cast<std::size_t>(i)];
-        ch.flock->installDeviceCertificate(
-            ca_->issue(ch.name + "-flock",
-                       crypto::CertRole::FlockDevice,
-                       ch.flock->devicePublicKey()));
+        certifyFlock(*ca_, ch.parts->flock);
         ch.device = std::make_unique<MobileDevice>(
-            ch.name, std::move(*ch.screen), std::move(*ch.flock),
-            ch.seedBase + 4);
-        ch.screen.reset();
-        ch.flock.reset();
+            ch.name, std::move(ch.parts->screen),
+            std::move(ch.parts->flock), ch.seedBase + 4);
+        ch.parts.reset();
         ch.device->attachToNetwork(ch.network);
         ch.server =
             servers_[static_cast<std::size_t>(i) %
@@ -165,50 +126,73 @@ Fleet::Fleet(const FleetConfig &config, FleetHooks hooks)
                 if (hooks_.afterDispatch)
                     hooks_.afterDispatch(chp->index);
                 ++chp->dispatches;
-                // Replies that spent time in an admission queue are
-                // delivered late by exactly that queueing delay (the
-                // common queueDelay == 0 path stays a direct send).
-                if (handled.queueDelay > 0) {
-                    core::Bytes reply = std::move(handled.reply);
-                    const std::string to = m.from;
-                    chp->queue.scheduleAfter(
-                        handled.queueDelay,
-                        [chp, srv, to, reply] {
-                            chp->network.send(srv->domain(), to,
-                                              reply);
-                        });
-                } else {
-                    chp->network.send(srv->domain(), m.from,
-                                      handled.reply);
-                }
+                sendReply(chp->queue, chp->network, srv->domain(),
+                          m.from, std::move(handled));
             });
     }
 
     // Owner enrollment is channel-private again — and the heaviest
     // provisioning step (full fingerprint pipeline per view).
-    core::parallelFor(0, n, 1, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-            Channel &ch = *channels_[static_cast<std::size_t>(i)];
-            core::obs::ScopedChannelObs capture(&ch.queue,
-                                                &ch.buffer);
-            if (!ch.device->enrollOwner(*ch.finger))
-                core::warn("fleet: owner enrollment produced no "
-                           "usable view");
-        }
+    forEachChannel([](Channel &ch) {
+        if (!ch.device->enrollOwner(*ch.finger))
+            core::warn("fleet: owner enrollment produced no usable view");
     });
 }
 
 Fleet::~Fleet() = default;
 
 void
+Fleet::startServer(std::size_t index,
+                   std::optional<crypto::Certificate> adopted)
+{
+    const std::string domain =
+        "www.fleet" + std::to_string(index) + ".com";
+    // The same seed at construction and restart regenerates the same
+    // key pair, which an adopted certificate covers.
+    const std::uint64_t seed = config_.seed * 2654435761ull +
+                               static_cast<std::uint64_t>(index) + 1;
+    auto server =
+        adopted ? std::make_unique<WebServer>(
+                      domain, *ca_, std::move(*adopted), seed,
+                      config_.rsaBits, config_.serverPolicy,
+                      config_.flockConfig.display)
+                : std::make_unique<WebServer>(
+                      domain, *ca_, seed, config_.rsaBits,
+                      config_.serverPolicy,
+                      config_.flockConfig.display);
+    if (config_.storage) {
+        // Durable tier: recover whatever a previous Fleet (or a
+        // crash) left in this server's log, then log every new
+        // mutation. Recovery runs before any traffic.
+        stores_[index] = std::make_unique<TrustStore>(
+            *config_.storage, "server" + std::to_string(index),
+            config_.storePolicy);
+        recoveries_[index] = stores_[index]->recover();
+        server->attachStore(stores_[index].get());
+    }
+    servers_[index] = std::move(server);
+}
+
+void
+Fleet::forEachChannel(const std::function<void(Channel &)> &body)
+{
+    const int n = static_cast<int>(channels_.size());
+    core::parallelFor(0, n, 1, [&](int begin, int end) {
+        for (int i = begin; i < end; ++i) {
+            Channel &ch = *channels_[static_cast<std::size_t>(i)];
+            // While this capture is alive, the executing thread's
+            // obs::audit()/simNow() resolve to this channel's buffer
+            // and clock — concurrently running channels never
+            // interleave records in the global log.
+            core::obs::ScopedChannelObs capture(&ch.queue, &ch.buffer);
+            body(ch);
+        }
+    });
+}
+
+void
 Fleet::runChannel(Channel &channel)
 {
-    // While this capture is alive, the executing thread's
-    // obs::audit()/simNow() resolve to this channel's buffer and
-    // clock — concurrently running channels never interleave
-    // records in the global log.
-    core::obs::ScopedChannelObs capture(&channel.queue,
-                                        &channel.buffer);
     core::Rng rng(channel.seedBase + 5);
     channel.result.outcome = runBrowsingSession(
         channel.queue, *channel.device, *channel.server,
@@ -248,11 +232,7 @@ Fleet::mergeAuditBuffers()
 FleetResult
 Fleet::run()
 {
-    const int n = static_cast<int>(channels_.size());
-    core::parallelFor(0, n, 1, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i)
-            runChannel(*channels_[static_cast<std::size_t>(i)]);
-    });
+    forEachChannel([this](Channel &ch) { runChannel(ch); });
     mergeAuditBuffers();
 
     FleetResult out;
@@ -270,13 +250,6 @@ Fleet::run()
 }
 
 // --- Storm orchestration -------------------------------------------------
-
-/** Replacement-phone parts staged by a parallel provisioning pass. */
-struct Storm::StagedDevice
-{
-    std::optional<hw::BiometricTouchscreen> screen;
-    std::optional<FlockModule> flock;
-};
 
 Storm::Storm(const StormConfig &config, FleetHooks hooks)
     : config_(config), fleet_(config.fleet, std::move(hooks))
@@ -405,33 +378,24 @@ Storm::runLossWave()
     // Parallel: whoever found the lost phones probes the servers
     // with the stale certificates, while replacement phones are
     // staged (channel-private provisioning).
-    std::vector<StagedDevice> staged(static_cast<std::size_t>(n));
+    std::vector<std::optional<DeviceParts>> staged(
+        static_cast<std::size_t>(n));
     std::vector<int> thief_hits(static_cast<std::size_t>(n), 0);
-    core::parallelFor(0, n, 1, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-            if (role(i) != StormRole::LossVictim)
-                continue;
-            Fleet::Channel &ch =
-                *fleet_.channels_[static_cast<std::size_t>(i)];
-            core::obs::ScopedChannelObs capture(&ch.queue,
-                                                &ch.buffer);
-            thief_hits[static_cast<std::size_t>(i)] =
-                attemptRevokedRegistration(
-                    ch, "mallory" + std::to_string(i),
-                    lost_certs[static_cast<std::size_t>(i)])
-                    ? 1
-                    : 0;
-            StagedDevice &parts =
-                staged[static_cast<std::size_t>(i)];
-            parts.screen.emplace(makeOptimizedScreen(
-                *ch.behavior, fleet_.config_.sensorTiles,
-                fleet_.config_.tileSideMm, ch.seedBase + 16));
-            FlockConfig flock_config = fleet_.config_.flockConfig;
-            flock_config.rsaBits = fleet_.config_.rsaBits;
-            parts.flock.emplace(ch.name + "-flock-r",
-                                fleet_.ca_->rootKey(),
-                                ch.seedBase + 17, flock_config);
-        }
+    fleet_.forEachChannel([&](Fleet::Channel &ch) {
+        if (role(ch.index) != StormRole::LossVictim)
+            return;
+        const auto i = static_cast<std::size_t>(ch.index);
+        thief_hits[i] = attemptRevokedRegistration(
+                            ch, "mallory" + std::to_string(i),
+                            lost_certs[i])
+                            ? 1
+                            : 0;
+        const FleetConfig &fc = fleet_.config_;
+        staged[i].emplace(stageDevice(
+            *ch.behavior, fc.sensorTiles, fc.tileSideMm,
+            ch.seedBase + 16, ch.name + "-flock-r",
+            fleet_.ca_->rootKey(), ch.seedBase + 17, fc.flockConfig,
+            fc.rsaBits));
     });
     fleet_.mergeAuditBuffers();
     for (int hit : thief_hits)
@@ -443,20 +407,18 @@ Storm::runLossWave()
     for (int i = 0; i < victims; ++i) {
         Fleet::Channel &ch =
             *fleet_.channels_[static_cast<std::size_t>(i)];
-        StagedDevice &parts = staged[static_cast<std::size_t>(i)];
-        parts.flock->installDeviceCertificate(fleet_.ca_->issue(
-            ch.name + "-flock-r", crypto::CertRole::FlockDevice,
-            parts.flock->devicePublicKey()));
+        std::optional<DeviceParts> &parts =
+            staged[static_cast<std::size_t>(i)];
+        certifyFlock(*fleet_.ca_, parts->flock);
         // The replacement phone is a new network endpoint: reusing
         // the lost phone's name would collide with the server's
         // per-sender dedup cache and replay stale baseline replies
         // into the fresh registration.
         ch.network.detach(ch.name);
         ch.device = std::make_unique<MobileDevice>(
-            ch.name + "-r", std::move(*parts.screen),
-            std::move(*parts.flock), ch.seedBase + 18);
-        parts.screen.reset();
-        parts.flock.reset();
+            ch.name + "-r", std::move(parts->screen),
+            std::move(parts->flock), ch.seedBase + 18);
+        parts.reset();
         ch.device->attachToNetwork(ch.network);
     }
 
@@ -464,24 +426,17 @@ Storm::runLossWave()
     // from scratch while every other channel keeps browsing, so the
     // burst hits the servers under correlated load.
     std::vector<int> re_registered(static_cast<std::size_t>(n), 0);
-    core::parallelFor(0, n, 1, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-            Fleet::Channel &ch =
-                *fleet_.channels_[static_cast<std::size_t>(i)];
-            core::obs::ScopedChannelObs capture(&ch.queue,
-                                                &ch.buffer);
-            core::Rng rng(ch.seedBase + 19);
-            if (role(i) == StormRole::LossVictim &&
-                !ch.device->enrollOwner(*ch.finger))
-                core::warn("storm: replacement enrollment produced "
-                           "no usable view");
-            const SessionOutcome outcome = runBrowsingSession(
-                ch.queue, *ch.device, *ch.server, *ch.behavior,
-                *ch.finger, rng, config_.stormClicks, ch.account);
-            if (role(i) == StormRole::LossVictim &&
-                outcome.registered && outcome.loggedIn)
-                re_registered[static_cast<std::size_t>(i)] = 1;
-        }
+    fleet_.forEachChannel([&](Fleet::Channel &ch) {
+        const bool victim = role(ch.index) == StormRole::LossVictim;
+        core::Rng rng(ch.seedBase + 19);
+        if (victim && !ch.device->enrollOwner(*ch.finger))
+            core::warn("storm: replacement enrollment produced no "
+                       "usable view");
+        const SessionOutcome outcome = runBrowsingSession(
+            ch.queue, *ch.device, *ch.server, *ch.behavior, *ch.finger,
+            rng, config_.stormClicks, ch.account);
+        if (victim && outcome.registered && outcome.loggedIn)
+            re_registered[static_cast<std::size_t>(ch.index)] = 1;
     });
     fleet_.mergeAuditBuffers();
     for (int done : re_registered)
@@ -494,26 +449,17 @@ Storm::runUpgradeDay()
     const int n = static_cast<int>(fleet_.channels_.size());
 
     // Parallel: stage every upgrader's new phone (channel-private).
-    std::vector<StagedDevice> staged(static_cast<std::size_t>(n));
-    core::parallelFor(0, n, 1, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-            if (role(i) != StormRole::Upgrader)
-                continue;
-            Fleet::Channel &ch =
-                *fleet_.channels_[static_cast<std::size_t>(i)];
-            core::obs::ScopedChannelObs capture(&ch.queue,
-                                                &ch.buffer);
-            StagedDevice &parts =
-                staged[static_cast<std::size_t>(i)];
-            parts.screen.emplace(makeOptimizedScreen(
-                *ch.behavior, fleet_.config_.sensorTiles,
-                fleet_.config_.tileSideMm, ch.seedBase + 24));
-            FlockConfig flock_config = fleet_.config_.flockConfig;
-            flock_config.rsaBits = fleet_.config_.rsaBits;
-            parts.flock.emplace(ch.name + "-flock-u",
-                                fleet_.ca_->rootKey(),
-                                ch.seedBase + 25, flock_config);
-        }
+    std::vector<std::optional<DeviceParts>> staged(
+        static_cast<std::size_t>(n));
+    fleet_.forEachChannel([&](Fleet::Channel &ch) {
+        if (role(ch.index) != StormRole::Upgrader)
+            return;
+        const FleetConfig &fc = fleet_.config_;
+        staged[static_cast<std::size_t>(ch.index)].emplace(stageDevice(
+            *ch.behavior, fc.sensorTiles, fc.tileSideMm,
+            ch.seedBase + 24, ch.name + "-flock-u",
+            fleet_.ca_->rootKey(), ch.seedBase + 25, fc.flockConfig,
+            fc.rsaBits));
     });
     fleet_.mergeAuditBuffers();
 
@@ -525,10 +471,8 @@ Storm::runUpgradeDay()
             continue;
         Fleet::Channel &ch =
             *fleet_.channels_[static_cast<std::size_t>(i)];
-        StagedDevice &parts = staged[static_cast<std::size_t>(i)];
-        parts.flock->installDeviceCertificate(fleet_.ca_->issue(
-            ch.name + "-flock-u", crypto::CertRole::FlockDevice,
-            parts.flock->devicePublicKey()));
+        certifyFlock(*fleet_.ca_,
+                     staged[static_cast<std::size_t>(i)]->flock);
         const auto &old_cert = ch.device->flock().deviceCertificate();
         TRUST_ASSERT(old_cert.has_value(),
                      "Storm: upgrader has no device certificate");
@@ -543,56 +487,46 @@ Storm::runUpgradeDay()
     // new phone adopts the identity and logs straight in — no
     // re-registration, the server kept the transferred user key.
     std::vector<int> transferred(static_cast<std::size_t>(n), 0);
-    core::parallelFor(0, n, 1, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-            if (role(i) != StormRole::Upgrader)
-                continue;
-            Fleet::Channel &ch =
-                *fleet_.channels_[static_cast<std::size_t>(i)];
-            core::obs::ScopedChannelObs capture(&ch.queue,
-                                                &ch.buffer);
-            StagedDevice &parts =
-                staged[static_cast<std::size_t>(i)];
-            core::Rng rng(ch.seedBase + 26);
-            std::optional<core::Bytes> bundle;
-            for (int attempt = 0; attempt < 16 && !bundle;
-                 ++attempt) {
-                const TouchCapture auth = captureTouch(
-                    ch.device->screen(), criticalTouch(*ch.device),
-                    &*ch.finger, rng, 6.0);
-                bundle = ch.device->flock().exportIdentity(
-                    parts.flock->devicePublicKey(), auth.sample);
-            }
-            if (!bundle ||
-                !parts.flock->importIdentity(*bundle)) {
-                core::warn("storm: identity transfer failed");
-                parts.screen.reset();
-                parts.flock.reset();
-                continue;
-            }
-            ch.device->flock().factoryReset();
-            ch.device->resumeSession(ch.server->domain());
-            ch.queue.run();
-            ch.device->onTouch(criticalTouch(*ch.device),
-                               &*ch.finger);
-            ch.queue.run();
-            // New phone, new endpoint (see the loss-wave note on
-            // dedup-cache collisions with the retired name).
-            ch.network.detach(ch.device->name());
-            ch.device = std::make_unique<MobileDevice>(
-                ch.name + "-u", std::move(*parts.screen),
-                std::move(*parts.flock), ch.seedBase + 27);
-            parts.screen.reset();
-            parts.flock.reset();
-            ch.device->attachToNetwork(ch.network);
-            ch.device->adoptTransferredIdentity(
-                ch.server->domain(), ch.account);
-            const SessionOutcome outcome = runBrowsingSession(
-                ch.queue, *ch.device, *ch.server, *ch.behavior,
-                *ch.finger, rng, config_.stormClicks, ch.account);
-            if (outcome.loggedIn)
-                transferred[static_cast<std::size_t>(i)] = 1;
+    fleet_.forEachChannel([&](Fleet::Channel &ch) {
+        if (role(ch.index) != StormRole::Upgrader)
+            return;
+        const auto i = static_cast<std::size_t>(ch.index);
+        std::optional<DeviceParts> &parts = staged[i];
+        core::Rng rng(ch.seedBase + 26);
+        std::optional<core::Bytes> bundle;
+        for (int attempt = 0; attempt < 16 && !bundle; ++attempt) {
+            const TouchCapture auth =
+                captureTouch(ch.device->screen(),
+                             criticalTouch(*ch.device), &*ch.finger,
+                             rng, 6.0);
+            bundle = ch.device->flock().exportIdentity(
+                parts->flock.devicePublicKey(), auth.sample);
         }
+        if (!bundle || !parts->flock.importIdentity(*bundle)) {
+            core::warn("storm: identity transfer failed");
+            parts.reset();
+            return;
+        }
+        ch.device->flock().factoryReset();
+        ch.device->resumeSession(ch.server->domain());
+        ch.queue.run();
+        ch.device->onTouch(criticalTouch(*ch.device), &*ch.finger);
+        ch.queue.run();
+        // New phone, new endpoint (see the loss-wave note on
+        // dedup-cache collisions with the retired name).
+        ch.network.detach(ch.device->name());
+        ch.device = std::make_unique<MobileDevice>(
+            ch.name + "-u", std::move(parts->screen),
+            std::move(parts->flock), ch.seedBase + 27);
+        parts.reset();
+        ch.device->attachToNetwork(ch.network);
+        ch.device->adoptTransferredIdentity(ch.server->domain(),
+                                            ch.account);
+        const SessionOutcome outcome = runBrowsingSession(
+            ch.queue, *ch.device, *ch.server, *ch.behavior, *ch.finger,
+            rng, config_.stormClicks, ch.account);
+        if (outcome.loggedIn)
+            transferred[i] = 1;
     });
     fleet_.mergeAuditBuffers();
     for (int done : transferred)
@@ -609,26 +543,11 @@ Storm::restartServers()
     // predecessor's certificate — a reboot must not advance the
     // CA's serial counter — and regenerates the same keys from the
     // same seed, so that certificate still covers them.
-    core::wal::SimulatedStorage *storage = fleet_.config_.storage;
-    storage->crashClean();
+    fleet_.config_.storage->crashClean();
     const std::size_t n_servers = fleet_.servers_.size();
     for (std::size_t s = 0; s < n_servers; ++s) {
-        const std::string domain = fleet_.servers_[s]->domain();
-        crypto::Certificate cert =
-            fleet_.servers_[s]->certificate();
-        fleet_.stores_[s] = std::make_unique<TrustStore>(
-            *storage, "server" + std::to_string(s),
-            fleet_.config_.storePolicy);
-        result_.restartRecoveries.push_back(
-            fleet_.stores_[s]->recover());
-        auto fresh = std::make_unique<WebServer>(
-            domain, *fleet_.ca_, std::move(cert),
-            serverSeed(fleet_.config_.seed, s),
-            fleet_.config_.rsaBits, fleet_.config_.serverPolicy,
-            fleet_.config_.flockConfig.display);
-        fresh->attachStore(fleet_.stores_[s].get());
-        fleet_.servers_[s] = std::move(fresh);
-        fleet_.recoveries_[s] = result_.restartRecoveries.back();
+        fleet_.startServer(s, fleet_.servers_[s]->certificate());
+        result_.restartRecoveries.push_back(fleet_.recoveries_[s]);
     }
     for (auto &channel : fleet_.channels_)
         channel->server =
@@ -648,27 +567,20 @@ Storm::runCompromisedCloseout()
     // both sides log the lockout (flock risk-transition, server
     // request-rejected verdicts).
     std::vector<int> locked(static_cast<std::size_t>(n), 0);
-    core::parallelFor(0, n, 1, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-            if (role(i) != StormRole::Compromised)
-                continue;
-            Fleet::Channel &ch =
-                *fleet_.channels_[static_cast<std::size_t>(i)];
-            core::obs::ScopedChannelObs capture(&ch.queue,
-                                                &ch.buffer);
-            core::Rng impostor_rng(ch.seedBase + 33);
-            const fingerprint::MasterFinger impostor =
-                fingerprint::synthesizeFinger(
-                    static_cast<std::uint64_t>(ch.index) + 7777,
-                    impostor_rng);
-            for (int t = 0; t < config_.impostorTouches; ++t) {
-                ch.device->onTouch(criticalTouch(*ch.device),
-                                   &impostor);
-                ch.queue.run();
-            }
-            if (ch.device->flock().riskViolated())
-                locked[static_cast<std::size_t>(i)] = 1;
+    fleet_.forEachChannel([&](Fleet::Channel &ch) {
+        if (role(ch.index) != StormRole::Compromised)
+            return;
+        core::Rng impostor_rng(ch.seedBase + 33);
+        const fingerprint::MasterFinger impostor =
+            fingerprint::synthesizeFinger(
+                static_cast<std::uint64_t>(ch.index) + 7777,
+                impostor_rng);
+        for (int t = 0; t < config_.impostorTouches; ++t) {
+            ch.device->onTouch(criticalTouch(*ch.device), &impostor);
+            ch.queue.run();
         }
+        if (ch.device->flock().riskViolated())
+            locked[static_cast<std::size_t>(ch.index)] = 1;
     });
     fleet_.mergeAuditBuffers();
     for (int hit : locked)
@@ -701,33 +613,25 @@ Storm::runCompromisedCloseout()
     std::vector<int> refused(static_cast<std::size_t>(n), 0);
     std::vector<int> verified(static_cast<std::size_t>(n), 0);
     std::vector<int> tried(static_cast<std::size_t>(n), 0);
-    core::parallelFor(0, n, 1, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-            Fleet::Channel &ch =
-                *fleet_.channels_[static_cast<std::size_t>(i)];
-            core::obs::ScopedChannelObs capture(&ch.queue,
-                                                &ch.buffer);
-            if (role(i) == StormRole::Compromised) {
-                const auto &cert =
-                    ch.device->flock().deviceCertificate();
-                refused[static_cast<std::size_t>(i)] =
-                    cert && attemptRevokedRegistration(ch, ch.account,
-                                                       *cert)
-                        ? 1
-                        : 0;
-                continue;
-            }
-            tried[static_cast<std::size_t>(i)] = 1;
-            const std::uint64_t pages_before =
-                ch.device->pagesReceived();
-            core::Rng rng(ch.seedBase + 35);
-            const SessionOutcome outcome = runBrowsingSession(
-                ch.queue, *ch.device, *ch.server, *ch.behavior,
-                *ch.finger, rng, config_.verifyClicks, ch.account);
-            if (ch.device->pagesReceived() > pages_before ||
-                outcome.requestsRejected > 0)
-                verified[static_cast<std::size_t>(i)] = 1;
+    fleet_.forEachChannel([&](Fleet::Channel &ch) {
+        const auto i = static_cast<std::size_t>(ch.index);
+        if (role(ch.index) == StormRole::Compromised) {
+            const auto &cert = ch.device->flock().deviceCertificate();
+            refused[i] =
+                cert && attemptRevokedRegistration(ch, ch.account, *cert)
+                    ? 1
+                    : 0;
+            return;
         }
+        tried[i] = 1;
+        const std::uint64_t pages_before = ch.device->pagesReceived();
+        core::Rng rng(ch.seedBase + 35);
+        const SessionOutcome outcome = runBrowsingSession(
+            ch.queue, *ch.device, *ch.server, *ch.behavior, *ch.finger,
+            rng, config_.verifyClicks, ch.account);
+        if (ch.device->pagesReceived() > pages_before ||
+            outcome.requestsRejected > 0)
+            verified[i] = 1;
     });
     fleet_.mergeAuditBuffers();
     for (int hit : refused)

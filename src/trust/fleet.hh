@@ -26,6 +26,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,10 +95,21 @@ struct FleetHooks
 };
 
 /**
- * The running fleet. Construction provisions every channel
- * (screen placement, FLock keys, owner enrollment — parallelised;
- * certificate issue — serialized in channel order, so the CA's
- * serial counter assignment is deterministic).
+ * The running fleet. Construction provisions every channel with the
+ * same four steps as Ecosystem::addDevice (scenario.hh), and Storm
+ * provisions its replacement and upgrade phones the same way:
+ *  1. stage — stageDevice(): sensor placement and FLock keys.
+ *     Channel-private, so it runs in parallel.
+ *  2. certify — certifyFlock(): the CA issues the device
+ *     certificate. Serial in channel order, so the CA's serial
+ *     counter assignment is deterministic.
+ *  3. assemble and attach — the MobileDevice constructor, then
+ *     MobileDevice::attachToNetwork(); server endpoints answer
+ *     through sendReply(). Serial, in the same pass as step 2.
+ *  4. enrol — MobileDevice::enrollOwner(). Channel-private, in
+ *     parallel.
+ * Servers are built by startServer(), which the mid-storm restart
+ * reuses.
  */
 class Fleet
 {
@@ -137,6 +149,20 @@ class Fleet
 
     struct Channel;
 
+    /**
+     * Build server @p index (and, with storage, its recovered
+     * TrustStore) into slot @p index. A restart passes the
+     * predecessor's certificate in @p adopted so the CA is not
+     * asked again.
+     */
+    void startServer(std::size_t index,
+                     std::optional<crypto::Certificate> adopted);
+    /**
+     * Run @p body on every channel across the global thread pool,
+     * each under its channel's audit capture (records stay in the
+     * channel buffer until mergeAuditBuffers()).
+     */
+    void forEachChannel(const std::function<void(Channel &)> &body);
     void runChannel(Channel &channel);
     void mergeAuditBuffers();
 
@@ -257,8 +283,6 @@ class Storm
     StormRole role(int channel) const;
 
   private:
-    struct StagedDevice;
-
     void runBaseline();
     void runLossWave();
     void runUpgradeDay();

@@ -34,21 +34,9 @@ Ecosystem::addServer(const std::string &domain)
         // The sender address keys the server's duplicate-suppression
         // cache, making device retransmissions idempotent; sim time
         // lets the server age out abandoned handshake nonces.
-        HandleResult handled = ref.handleTimed(
-            message.payload, message.from, queue_.now());
-        // Admission queueing (off by default) delays the reply by the
-        // simulated time the request spent queued; the common
-        // zero-delay path stays a direct send with no extra event.
-        if (handled.queueDelay > 0) {
-            core::Bytes reply = std::move(handled.reply);
-            const std::string to = message.from;
-            queue_.scheduleAfter(
-                handled.queueDelay, [this, &ref, to, reply] {
-                    network_.send(ref.domain(), to, reply);
-                });
-        } else {
-            network_.send(ref.domain(), message.from, handled.reply);
-        }
+        sendReply(queue_, network_, ref.domain(), message.from,
+                  ref.handleTimed(message.payload, message.from,
+                                  queue_.now()));
     });
     servers_.push_back(std::move(server));
     return ref;
@@ -59,19 +47,18 @@ Ecosystem::addDevice(const std::string &name,
                      const touch::UserBehavior &behavior,
                      const fingerprint::MasterFinger &owner)
 {
-    hw::BiometricTouchscreen screen = makeOptimizedScreen(
-        behavior, config_.sensorTiles, config_.tileSideMm, nextSeed_++);
-
-    FlockConfig flock_config = config_.flockConfig;
-    flock_config.rsaBits = config_.rsaBits;
-    FlockModule flock(name + "-flock", ca_->rootKey(), nextSeed_++,
-                      flock_config);
-    flock.installDeviceCertificate(
-        ca_->issue(name + "-flock", crypto::CertRole::FlockDevice,
-                   flock.devicePublicKey()));
+    const std::uint64_t screen_seed = nextSeed_++;
+    const std::uint64_t flock_seed = nextSeed_++;
+    const std::uint64_t device_seed = nextSeed_++;
+    DeviceParts parts = stageDevice(
+        behavior, config_.sensorTiles, config_.tileSideMm, screen_seed,
+        name + "-flock", ca_->rootKey(), flock_seed,
+        config_.flockConfig, config_.rsaBits);
+    certifyFlock(*ca_, parts.flock);
 
     auto device = std::make_unique<MobileDevice>(
-        name, std::move(screen), std::move(flock), nextSeed_++);
+        name, std::move(parts.screen), std::move(parts.flock),
+        device_seed);
     MobileDevice &ref = *device;
     ref.attachToNetwork(network_);
     if (!ref.enrollOwner(owner))
@@ -101,6 +88,46 @@ makeOptimizedScreen(const touch::UserBehavior &behavior, int tiles,
         panel_spec, placement::toPlacedSensors(placement));
 }
 
+DeviceParts
+stageDevice(const touch::UserBehavior &behavior, int tiles,
+            double tile_side_mm, std::uint64_t screen_seed,
+            std::string flock_id, const crypto::RsaPublicKey &ca_key,
+            std::uint64_t flock_seed, FlockConfig flock_config,
+            std::size_t rsa_bits)
+{
+    hw::BiometricTouchscreen screen =
+        makeOptimizedScreen(behavior, tiles, tile_side_mm, screen_seed);
+    flock_config.rsaBits = rsa_bits;
+    return {std::move(screen),
+            FlockModule(std::move(flock_id), ca_key, flock_seed,
+                        flock_config)};
+}
+
+void
+certifyFlock(crypto::CertificateAuthority &ca, FlockModule &flock)
+{
+    flock.installDeviceCertificate(
+        ca.issue(flock.deviceId(), crypto::CertRole::FlockDevice,
+                 flock.devicePublicKey()));
+}
+
+void
+sendReply(core::EventQueue &queue, net::Network &network,
+          const std::string &from_domain, const std::string &to,
+          HandleResult handled)
+{
+    if (handled.queueDelay > 0) {
+        queue.scheduleAfter(
+            handled.queueDelay,
+            [&network, from_domain, to,
+             reply = std::move(handled.reply)] {
+                network.send(from_domain, to, reply);
+            });
+    } else {
+        network.send(from_domain, to, handled.reply);
+    }
+}
+
 touch::TouchEvent
 criticalTouch(const MobileDevice &device)
 {
@@ -112,18 +139,6 @@ criticalTouch(const MobileDevice &device)
     event.gesture = touch::GestureType::Tap;
     event.target = "critical-button";
     return event;
-}
-
-SessionOutcome
-runBrowsingSession(Ecosystem &ecosystem, MobileDevice &device,
-                   WebServer &server,
-                   const touch::UserBehavior &behavior,
-                   const fingerprint::MasterFinger &finger,
-                   core::Rng &rng, int clicks,
-                   const std::string &account)
-{
-    return runBrowsingSession(ecosystem.queue(), device, server,
-                              behavior, finger, rng, clicks, account);
 }
 
 SessionOutcome

@@ -5,13 +5,17 @@
  * Provides the canonical construction path used by the examples,
  * tests and benches: touch-behaviour-driven sensor placement,
  * device provisioning (keys + CA certificate + owner enrollment)
- * and ready-made end-to-end session drivers.
+ * and the end-to-end session driver. The provisioning steps and the
+ * server reply path are free functions, so the Fleet and Storm
+ * harnesses (fleet.hh) build their devices and endpoints the same
+ * way.
  */
 
 #ifndef TRUST_TRUST_SCENARIO_HH
 #define TRUST_TRUST_SCENARIO_HH
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/network.hh"
@@ -92,6 +96,44 @@ hw::BiometricTouchscreen
 makeOptimizedScreen(const touch::UserBehavior &behavior, int tiles,
                     double tile_side_mm, std::uint64_t seed);
 
+/** A phone's parts, staged before the CA certifies its FLock. */
+struct DeviceParts
+{
+    hw::BiometricTouchscreen screen;
+    FlockModule flock;
+};
+
+/**
+ * Provisioning step 1 (stage): place the screen's sensor tiles for
+ * @p behavior and generate the FLock module's keys, with
+ * @p flock_config's key size overridden by @p rsa_bits. Touches no
+ * shared state, so harnesses run it in parallel across devices.
+ */
+DeviceParts stageDevice(const touch::UserBehavior &behavior, int tiles,
+                        double tile_side_mm, std::uint64_t screen_seed,
+                        std::string flock_id,
+                        const crypto::RsaPublicKey &ca_key,
+                        std::uint64_t flock_seed,
+                        FlockConfig flock_config, std::size_t rsa_bits);
+
+/**
+ * Provisioning step 2 (certify): the CA issues a FlockDevice
+ * certificate to the module's own id and public key, and the module
+ * installs it. Draws the CA's serial counter, so harnesses call it
+ * serially in device order.
+ */
+void certifyFlock(crypto::CertificateAuthority &ca, FlockModule &flock);
+
+/**
+ * Send a server's reply from @p from_domain to @p to. A request that
+ * waited in the server's admission queue is answered late by exactly
+ * that queueing delay; the common zero-delay path is a direct send
+ * with no extra event.
+ */
+void sendReply(core::EventQueue &queue, net::Network &network,
+               const std::string &from_domain, const std::string &to,
+               HandleResult handled);
+
 /**
  * Deliberate press on the critical button. Registration and login
  * confirmation buttons are drawn over the device's first sensor
@@ -113,27 +155,16 @@ struct SessionOutcome
 
 /**
  * Drive one device through registration, login and @p clicks
- * natural browsing touches against @p server. The critical
- * registration/login buttons are displayed over the device's first
- * sensor tile, per the paper's critical-button countermeasure.
+ * natural browsing touches against @p server. The device and server
+ * must already be attached to a network pumped by @p queue (an
+ * Ecosystem's queue(), or a fleet channel's private queue). The
+ * critical registration/login buttons are displayed over the
+ * device's first sensor tile, per the paper's critical-button
+ * countermeasure.
  *
  * @param finger physical finger doing the touching (the enrolled
  *               owner for genuine runs; another finger to play an
  *               impostor).
- */
-SessionOutcome runBrowsingSession(Ecosystem &ecosystem,
-                                  MobileDevice &device,
-                                  WebServer &server,
-                                  const touch::UserBehavior &behavior,
-                                  const fingerprint::MasterFinger &finger,
-                                  core::Rng &rng, int clicks,
-                                  const std::string &account);
-
-/**
- * Same driver on a bare event queue: the device and server must
- * already be attached to a network pumped by @p queue. This is the
- * form the fleet runner uses — each independent channel owns its own
- * queue and runs this concurrently with the others.
  */
 SessionOutcome runBrowsingSession(core::EventQueue &queue,
                                   MobileDevice &device,

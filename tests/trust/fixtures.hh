@@ -14,6 +14,7 @@
 #include "fingerprint/capture.hh"
 #include "fingerprint/synthesis.hh"
 #include "trust/flock.hh"
+#include "trust/scenario.hh"
 
 namespace trust::testing {
 
@@ -46,8 +47,7 @@ makeFlock(const std::string &id, std::uint64_t seed,
           const fingerprint::MasterFinger &owner)
 {
     trust::FlockModule flock(id, trustCa().rootKey(), seed);
-    flock.installDeviceCertificate(trustCa().issue(
-        id, crypto::CertRole::FlockDevice, flock.devicePublicKey()));
+    trust::certifyFlock(trustCa(), flock);
 
     // Enroll three good views of the owner's finger.
     core::Rng rng(seed ^ 0xABCD);

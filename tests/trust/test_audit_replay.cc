@@ -73,7 +73,7 @@ runScenario()
             std::make_shared<FaultModel>(1201, faults));
 
         Rng rng(1202);
-        (void)runBrowsingSession(eco, device, server, behavior,
+        (void)runBrowsingSession(eco.queue(), device, server, behavior,
                                  trustFingers()[0], rng, 10, "alice");
 
         // Thief takeover: deliberate on-sensor touches with a finger

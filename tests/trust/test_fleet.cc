@@ -95,8 +95,9 @@ TEST(Fleet, GoldenByteIdenticalAcrossThreadCounts)
     ASSERT_GT(records->size(), 20u);
     for (std::size_t i = 0; i < records->size(); ++i) {
         EXPECT_EQ((*records)[i].seq, i);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE((*records)[i].tick, (*records)[i - 1].tick);
+        }
     }
 
     if (std::getenv("TRUST_UPDATE_GOLDEN") != nullptr) {

@@ -40,7 +40,7 @@ TEST(ProtocolE2E, GenuineSessionCompletes)
 
     Rng rng(9002);
     const auto outcome =
-        runBrowsingSession(eco, device, server, behavior,
+        runBrowsingSession(eco.queue(), device, server, behavior,
                            trustFingers()[0], rng, 25, "alice");
     EXPECT_TRUE(outcome.registered);
     EXPECT_TRUE(outcome.loggedIn);
@@ -62,10 +62,10 @@ TEST(ProtocolE2E, MultipleDevicesAndServers)
     auto &phone2 = eco.addDevice("phone-2", b2, trustFingers()[1]);
 
     Rng rng(9101);
-    EXPECT_TRUE(runBrowsingSession(eco, phone1, bank, b1,
+    EXPECT_TRUE(runBrowsingSession(eco.queue(), phone1, bank, b1,
                                    trustFingers()[0], rng, 5, "u1")
                     .loggedIn);
-    EXPECT_TRUE(runBrowsingSession(eco, phone2, mail, b2,
+    EXPECT_TRUE(runBrowsingSession(eco.queue(), phone2, mail, b2,
                                    trustFingers()[1], rng, 5, "u2")
                     .loggedIn);
     EXPECT_TRUE(bank.accountRegistered("u1"));
@@ -85,7 +85,7 @@ TEST(ProtocolE2E, ImpostorCannotLogin)
 
     Rng rng(9201);
     // Owner registers (and logs in once as part of the fixture).
-    const auto reg = runBrowsingSession(eco, device, server, behavior,
+    const auto reg = runBrowsingSession(eco.queue(), device, server, behavior,
                                         trustFingers()[0], rng, 0,
                                         "alice");
     ASSERT_TRUE(reg.registered);
@@ -122,7 +122,7 @@ TEST(ProtocolE2E, StolenUnlockedPhoneSessionDies)
 
     Rng rng(9301);
     const auto outcome =
-        runBrowsingSession(eco, device, server, behavior,
+        runBrowsingSession(eco.queue(), device, server, behavior,
                            trustFingers()[0], rng, 10, "alice");
     ASSERT_TRUE(outcome.loggedIn);
 
@@ -167,7 +167,7 @@ TEST(ProtocolE2E, ReplayAttackNeutralized)
 
     Rng rng(9401);
     const auto outcome =
-        runBrowsingSession(eco, device, server, behavior,
+        runBrowsingSession(eco.queue(), device, server, behavior,
                            trustFingers()[0], rng, 10, "alice");
     eco.settle();
 
@@ -214,7 +214,7 @@ TEST(ProtocolE2E, MitmSubstitutionRejected)
 
     Rng rng(9501);
     const auto outcome =
-        runBrowsingSession(eco, device, server, behavior,
+        runBrowsingSession(eco.queue(), device, server, behavior,
                            trustFingers()[0], rng, 5, "alice");
     // Nothing gets through: the forged payloads fail every check.
     EXPECT_FALSE(outcome.registered);
@@ -237,7 +237,7 @@ TEST(ProtocolE2E, MalwareForgedRequestsAllRejected)
 
     Rng rng(9601);
     const auto outcome =
-        runBrowsingSession(eco, device, server, behavior,
+        runBrowsingSession(eco.queue(), device, server, behavior,
                            trustFingers()[0], rng, 10, "alice");
     EXPECT_TRUE(outcome.loggedIn);
     const std::uint64_t forged =
@@ -266,7 +266,7 @@ TEST(ProtocolE2E, MalwareFrameTamperingCaughtByAudit)
 
     Rng rng(9701);
     const auto outcome =
-        runBrowsingSession(eco, device, server, behavior,
+        runBrowsingSession(eco.queue(), device, server, behavior,
                            trustFingers()[0], rng, 8, "alice");
     EXPECT_TRUE(outcome.loggedIn);
     // The offline audit flags every tampered frame.
@@ -285,7 +285,7 @@ TEST(ProtocolE2E, CleanDeviceAuditIsClean)
         eco.addDevice("phone-h", behavior, trustFingers()[0]);
 
     Rng rng(9801);
-    (void)runBrowsingSession(eco, device, server, behavior,
+    (void)runBrowsingSession(eco.queue(), device, server, behavior,
                              trustFingers()[0], rng, 8, "alice");
     EXPECT_EQ(server.auditFrameHashes(), 0u);
     EXPECT_GT(server.auditLogSize(), 0u);
@@ -303,7 +303,7 @@ TEST(ProtocolE2E, MixedSessionAuditFlagsOnlyTamperedFrames)
 
     Rng rng(9851);
     const auto outcome =
-        runBrowsingSession(eco, device, server, behavior,
+        runBrowsingSession(eco.queue(), device, server, behavior,
                            trustFingers()[0], rng, 6, "alice");
     ASSERT_TRUE(outcome.loggedIn);
     ASSERT_EQ(outcome.pagesReceived, 6);
@@ -354,7 +354,7 @@ TEST(ProtocolE2E, OnlineVerificationAcceptsCleanDevice)
 
     Rng rng(9801);
     const auto outcome =
-        runBrowsingSession(eco, device, server, behavior,
+        runBrowsingSession(eco.queue(), device, server, behavior,
                            trustFingers()[0], rng, 8, "alice");
     EXPECT_TRUE(outcome.loggedIn);
     EXPECT_EQ(outcome.pagesReceived, 8);
@@ -380,7 +380,7 @@ TEST(ProtocolE2E, OnlineVerificationRejectsTamperedFrames)
 
     Rng rng(9701);
     const auto outcome =
-        runBrowsingSession(eco, device, server, behavior,
+        runBrowsingSession(eco.queue(), device, server, behavior,
                            trustFingers()[0], rng, 8, "alice");
     EXPECT_TRUE(outcome.loggedIn);
     // The home page arrived with the login reply; no page request
@@ -402,7 +402,7 @@ TEST(ProtocolE2E, IdentityResetThenRebind)
         eco.addDevice("old-phone", behavior, trustFingers()[0]);
 
     Rng rng(9901);
-    ASSERT_TRUE(runBrowsingSession(eco, old_phone, server, behavior,
+    ASSERT_TRUE(runBrowsingSession(eco.queue(), old_phone, server, behavior,
                                    trustFingers()[0], rng, 2, "alice")
                     .loggedIn);
 
@@ -411,7 +411,7 @@ TEST(ProtocolE2E, IdentityResetThenRebind)
     auto &new_phone =
         eco.addDevice("new-phone", behavior, trustFingers()[0]);
     const auto outcome =
-        runBrowsingSession(eco, new_phone, server, behavior,
+        runBrowsingSession(eco.queue(), new_phone, server, behavior,
                            trustFingers()[0], rng, 3, "alice");
     EXPECT_TRUE(outcome.registered);
     EXPECT_TRUE(outcome.loggedIn);
@@ -431,7 +431,7 @@ TEST(ProtocolE2E, IdentityTransferBetweenDevices)
         eco.addDevice("new-ph", behavior, trustFingers()[0]);
 
     Rng rng(10001);
-    ASSERT_TRUE(runBrowsingSession(eco, old_phone, server, behavior,
+    ASSERT_TRUE(runBrowsingSession(eco.queue(), old_phone, server, behavior,
                                    trustFingers()[0], rng, 2, "alice")
                     .registered);
 

@@ -104,7 +104,7 @@ runPersistedSession(std::string *live_digest,
         eco.addDevice("phone-rec", b, trustFingers()[0]);
     Rng rng(7101);
     const SessionOutcome outcome = runBrowsingSession(
-        eco, device, server, b, trustFingers()[0], rng, 4, "alice");
+        eco.queue(), device, server, b, trustFingers()[0], rng, 4, "alice");
     EXPECT_TRUE(outcome.registered);
     EXPECT_TRUE(outcome.loggedIn);
     EXPECT_GT(store.mutations(), 2u);
@@ -261,7 +261,7 @@ TEST(Recovery, RecoveredServerContinuationMatchesUncrashed)
         eco.addDevice("phone-rec2", b, trustFingers()[0]);
     Rng rng(7201);
     const SessionOutcome outcome = runBrowsingSession(
-        eco, device, server, b, trustFingers()[0], rng, 3, "alice");
+        eco.queue(), device, server, b, trustFingers()[0], rng, 3, "alice");
     ASSERT_TRUE(outcome.loggedIn);
 
     const auto probeAudit = [&](WebServer &target) {
@@ -326,7 +326,7 @@ TEST(Recovery, DeviceResumesSessionAgainstRestartedServer)
         eco.addDevice("phone-rec3", b, trustFingers()[0]);
     Rng rng(7301);
     const SessionOutcome outcome = runBrowsingSession(
-        eco, device, server, b, trustFingers()[0], rng, 2, "alice");
+        eco.queue(), device, server, b, trustFingers()[0], rng, 2, "alice");
     ASSERT_TRUE(outcome.loggedIn);
     ASSERT_TRUE(device.sessionActive(domain));
     const std::uint64_t pages_before = device.pagesReceived();
@@ -352,7 +352,7 @@ TEST(Recovery, DeviceResumesSessionAgainstRestartedServer)
     // serving without re-registration.
     Rng rng2(7302);
     const SessionOutcome resumed = runBrowsingSession(
-        eco, device, server2, b, trustFingers()[0], rng2, 2, "alice");
+        eco.queue(), device, server2, b, trustFingers()[0], rng2, 2, "alice");
     EXPECT_TRUE(resumed.registered);
     EXPECT_TRUE(resumed.loggedIn);
     EXPECT_TRUE(device.sessionActive(domain));
@@ -390,7 +390,7 @@ TEST(Recovery, OverloadShedsTypedBusyThenCompletes)
         eco.addDevice("phone-ovl", b, trustFingers()[0]);
     Rng rng(7401);
     const SessionOutcome outcome = runBrowsingSession(
-        eco, device, server, b, trustFingers()[0], rng, 2, "alice");
+        eco.queue(), device, server, b, trustFingers()[0], rng, 2, "alice");
     ASSERT_TRUE(outcome.loggedIn);
     const std::uint64_t pages_before = device.pagesReceived();
 

@@ -233,7 +233,7 @@ TEST(Reliability, DuplicateDeliveriesAreIdempotent)
 
     Rng rng(937);
     const SessionOutcome outcome = runBrowsingSession(
-        eco, device, server, b, trustFingers()[0], rng, 6, "alice");
+        eco.queue(), device, server, b, trustFingers()[0], rng, 6, "alice");
 
     ASSERT_TRUE(outcome.registered);
     ASSERT_TRUE(outcome.loggedIn);
@@ -261,7 +261,7 @@ TEST(Reliability, PartitionThenResumeKeepsRiskWindow)
 
     Rng rng(941);
     const SessionOutcome outcome = runBrowsingSession(
-        eco, device, server, b, trustFingers()[0], rng, 2, "alice");
+        eco.queue(), device, server, b, trustFingers()[0], rng, 2, "alice");
     ASSERT_TRUE(outcome.loggedIn);
     ASSERT_TRUE(device.sessionActive(domain));
 
@@ -341,7 +341,7 @@ TEST(Reliability, LossyPartitionedSessionMatchesCleanDecisions)
 
         Rng rng(952);
         const SessionOutcome outcome =
-            runBrowsingSession(*eco, device, server, b,
+            runBrowsingSession(eco->queue(), device, server, b,
                                trustFingers()[0], rng, 8, "alice");
 
         struct Result

@@ -233,7 +233,7 @@ TEST(DevicePolicy, AutoLogoutOnHardFailure)
 
     Rng rng(7002);
     const auto outcome = trust::trust::runBrowsingSession(
-        eco, device, server, b, trustFingers()[0], rng, 5, "alice");
+        eco.queue(), device, server, b, trustFingers()[0], rng, 5, "alice");
     ASSERT_TRUE(outcome.loggedIn);
 
     // Thief touches on the sensor until the hard-failure response

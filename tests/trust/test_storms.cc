@@ -364,7 +364,7 @@ TEST(Storm, TransferBundleImportSurvivesMutation)
     auto &new_phone = eco.addDevice("fuzz-new", user, trustFingers()[0]);
 
     Rng rng(9521);
-    ASSERT_TRUE(runBrowsingSession(eco, old_phone, server, user,
+    ASSERT_TRUE(runBrowsingSession(eco.queue(), old_phone, server, user,
                                    trustFingers()[0], rng, 1, "carol")
                     .loggedIn);
     const auto bundle = old_phone.flock().exportIdentity(
@@ -532,7 +532,7 @@ TEST(Storm, TransferredIdentityLocksOutOldDevice)
 
     Rng rng(9541);
     const SessionOutcome before = runBrowsingSession(
-        eco, old_phone, server, user, trustFingers()[0], rng, 2,
+        eco.queue(), old_phone, server, user, trustFingers()[0], rng, 2,
         "alice");
     ASSERT_TRUE(before.registered);
     ASSERT_TRUE(before.loggedIn);
@@ -561,7 +561,7 @@ TEST(Storm, TransferredIdentityLocksOutOldDevice)
     // took the user key and the owner's enrollment with it.
     Rng retry_rng(9543);
     const SessionOutcome old_retry = runBrowsingSession(
-        eco, old_phone, server, user, trustFingers()[0], retry_rng, 1,
+        eco.queue(), old_phone, server, user, trustFingers()[0], retry_rng, 1,
         "alice");
     EXPECT_FALSE(old_retry.loggedIn);
 
@@ -570,7 +570,7 @@ TEST(Storm, TransferredIdentityLocksOutOldDevice)
     new_phone.adoptTransferredIdentity("www.bank.com", "alice");
     Rng adopt_rng(9544);
     const SessionOutcome adopted = runBrowsingSession(
-        eco, new_phone, server, user, trustFingers()[0], adopt_rng, 1,
+        eco.queue(), new_phone, server, user, trustFingers()[0], adopt_rng, 1,
         "alice");
     EXPECT_TRUE(adopted.loggedIn);
     EXPECT_TRUE(new_phone.sessionActive("www.bank.com"));
