@@ -57,7 +57,7 @@ struct FleetConfig
      * recovered before serving — so a fleet constructed over the
      * storage left behind by a crashed predecessor resumes from its
      * durable state. The storage must outlive the Fleet. nullptr =
-     * in-memory serving (unchanged behaviour).
+     * each server serves from its own private store.
      */
     core::wal::SimulatedStorage *storage = nullptr;
     StorePolicy storePolicy;

@@ -30,18 +30,6 @@ WebServer::accountShard(const std::string &account)
     return *accountShards_[hashKey(account) % kAccountShards];
 }
 
-const WebServer::AccountShard &
-WebServer::accountShard(const std::string &account) const
-{
-    return *accountShards_[hashKey(account) % kAccountShards];
-}
-
-WebServer::SessionShard &
-WebServer::sessionShard(std::uint64_t session_id)
-{
-    return *sessionShards_[session_id % kSessionShards];
-}
-
 WebServer::DedupShard &
 WebServer::dedupShard(const std::string &from)
 {
@@ -62,7 +50,8 @@ WebServer::WebServer(std::string domain,
       keys_(crypto::rsaGenerate(rsa_bits, rng_)),
       cert_(ca.issue(domain_, crypto::CertRole::WebServer, keys_.pub)),
       policy_(policy), display_(display),
-      frameHash_(hw::FrameHashEngine::Algorithm::Sha256)
+      frameHash_(hw::FrameHashEngine::Algorithm::Sha256),
+      ownStore_(ownStorage_, "server"), store_(&ownStore_)
 {
     buildShards();
 }
@@ -75,7 +64,8 @@ WebServer::WebServer(std::string domain,
     : domain_(std::move(domain)), caKey_(ca.rootKey()), rng_(seed),
       keys_(crypto::rsaGenerate(rsa_bits, rng_)),
       cert_(std::move(cert)), policy_(policy), display_(display),
-      frameHash_(hw::FrameHashEngine::Algorithm::Sha256)
+      frameHash_(hw::FrameHashEngine::Algorithm::Sha256),
+      ownStore_(ownStorage_, "server"), store_(&ownStore_)
 {
     // The adopted certificate must cover the key pair this seed
     // regenerates, or every signed page would fail verification.
@@ -91,9 +81,6 @@ WebServer::buildShards()
     accountShards_.reserve(kAccountShards);
     for (std::size_t i = 0; i < kAccountShards; ++i)
         accountShards_.push_back(std::make_unique<AccountShard>());
-    sessionShards_.reserve(kSessionShards);
-    for (std::size_t i = 0; i < kSessionShards; ++i)
-        sessionShards_.push_back(std::make_unique<SessionShard>());
     dedupShards_.reserve(kDedupShards);
     for (std::size_t i = 0; i < kDedupShards; ++i)
         dedupShards_.push_back(std::make_unique<DedupShard>());
@@ -105,32 +92,10 @@ WebServer::buildShards()
 void
 WebServer::attachStore(TrustStore *store)
 {
-    store_ = store;
-    if (!store_)
-        return;
-    // Import the recovered state into the live shards. Runs before
-    // traffic, so plain per-shard locking is plenty.
-    const StoreState state = store_->state();
-    for (const auto &[account, key_bytes] : state.accounts) {
-        const auto key = crypto::RsaPublicKey::deserialize(key_bytes);
-        if (!key)
-            continue; // recovered record with an unparseable key
-        AccountShard &shard = accountShard(account);
-        std::lock_guard<std::mutex> lock(shard.accountsMutex);
-        shard.database[account] = *key;
-    }
-    for (const auto &[id, session] : state.sessions) {
-        SessionShard &shard = sessionShard(id);
-        std::lock_guard<std::mutex> lock(shard.sessionsMutex);
-        shard.sessions[id] = session;
-    }
-    {
-        std::lock_guard<std::mutex> lock(revocationMutex_);
-        revokedSerials_ = state.revokedSerials;
-    }
+    store_ = store != nullptr ? store : &ownStore_;
     // Session ids continue above everything ever issued, so ids from
     // the pre-crash life are never reused for new sessions.
-    nextSessionId_.store(state.maxSessionId + 1,
+    nextSessionId_.store(store_->maxSessionId() + 1,
                          std::memory_order_relaxed);
 }
 
@@ -560,15 +525,9 @@ WebServer::handleRegistrationSubmit(const RegistrationSubmit &submit)
         note("registration-rejected", submit.account, result.reason);
         return result;
     }
-    bool revoked = false;
-    {
-        std::lock_guard<std::mutex> lock(revocationMutex_);
-        revoked = std::find(revokedSerials_.begin(),
-                            revokedSerials_.end(),
-                            device_cert->serial) !=
-                  revokedSerials_.end();
-    }
-    if (revoked) {
+    const std::vector<std::uint64_t> revoked = store_->revocations();
+    if (std::find(revoked.begin(), revoked.end(), device_cert->serial) !=
+        revoked.end()) {
         result.reason = "revoked-device-cert";
         note("registration-rejected", submit.account, result.reason);
         return result;
@@ -603,13 +562,10 @@ WebServer::handleRegistrationSubmit(const RegistrationSubmit &submit)
         } else {
             eraseHandshakeNonce(shard, /*login=*/false,
                                 submit.account, submit.nonce);
-            shard.database[submit.account] = *user_key;
-            // Persist under the shard lock so the WAL order agrees
-            // with the commit order the live map saw (the store's
-            // mutex is a leaf; see TrustStore).
-            if (store_)
-                store_->putAccount(submit.account,
-                                   submit.userPublicKey);
+            // Bind under the shard lock so the binding commits with
+            // the nonce it consumed (the store's mutex is a leaf; see
+            // TrustStore).
+            store_->putAccount(submit.account, submit.userPublicKey);
             result.ok = true;
         }
     }
@@ -625,12 +581,8 @@ std::optional<LoginPage>
 WebServer::handleLoginRequest(const LoginRequest &request,
                               core::Tick now)
 {
-    {
-        AccountShard &shard = accountShard(request.account);
-        std::lock_guard<std::mutex> lock(shard.accountsMutex);
-        if (!shard.database.count(request.account))
-            return std::nullopt;
-    }
+    if (!store_->hasAccount(request.account))
+        return std::nullopt;
     note("login-request", request.account);
     LoginPage page;
     page.requestId = request.requestId;
@@ -679,7 +631,7 @@ WebServer::handleLoginSubmit(const LoginSubmit &submit)
     {
         AccountShard &shard = accountShard(submit.account);
         std::lock_guard<std::mutex> lock(shard.accountsMutex);
-        known = shard.database.count(submit.account) > 0;
+        known = store_->hasAccount(submit.account);
         nonce_live = nonceOutstanding(shard, /*login=*/true,
                                       submit.account, submit.nonce);
     }
@@ -736,16 +688,20 @@ WebServer::handleLoginSubmit(const LoginSubmit &submit)
 
     ContentPage page =
         makeContentPage(session_id, session, "home", submit.requestId);
-    {
-        SessionShard &shard = sessionShard(session_id);
-        std::lock_guard<std::mutex> lock(shard.sessionsMutex);
-        if (store_)
-            store_->putSession(session_id, session);
-        shard.sessions[session_id] = std::move(session);
-    }
+    store_->putSession(session_id, session);
     note("login-accepted", submit.account);
     return page;
 }
+
+/**
+ * Minimum matched touches the risk field must report once the
+ * window is full; requests below are rejected (Fig. 10 "update
+ * identity risk" on the server side).
+ */
+constexpr std::uint32_t kMinRiskMatched = 2;
+
+/** Window fill above which the risk policy is enforced. */
+constexpr std::uint32_t kRiskEnforceWindow = 8;
 
 std::optional<ContentPage>
 WebServer::handlePageRequest(const PageRequest &request)
@@ -753,31 +709,22 @@ WebServer::handlePageRequest(const PageRequest &request)
     if (request.domain != domain_)
         return std::nullopt;
 
-    // Phase 1 (shard lock): snapshot the session state.
-    StoredSession session;
-    bool found = false;
-    {
-        SessionShard &shard = sessionShard(request.sessionId);
-        std::lock_guard<std::mutex> lock(shard.sessionsMutex);
-        const auto it = shard.sessions.find(request.sessionId);
-        if (it != shard.sessions.end()) {
-            session = it->second;
-            found = true;
-        }
-    }
-    if (!found) {
+    // Phase 1 (store shard lock): copy the session row.
+    std::optional<StoredSession> session =
+        store_->session(request.sessionId);
+    if (!session) {
         note("request-rejected:no-session", request.account);
         return std::nullopt;
     }
-    if (session.account != request.account) {
+    if (session->account != request.account) {
         note("request-rejected:account-mismatch", request.account);
         return std::nullopt;
     }
 
     // Phase 2 (no locks held): all verification runs against the
-    // snapshot — only the FLock module holds the session key, so a
-    // valid MAC proves the request left the trusted module.
-    if (!crypto::hmacSha256Verify(session.sessionKey,
+    // copy — only the FLock module holds the session key, so a valid
+    // MAC proves the request left the trusted module.
+    if (!crypto::hmacSha256Verify(session->sessionKey,
                                   request.macBody(), request.mac)) {
         note("request-rejected:bad-mac", request.account);
         return std::nullopt;
@@ -787,21 +734,21 @@ WebServer::handlePageRequest(const PageRequest &request)
     // proven provenance, an id at or below the last accepted one is
     // a late retransmission that slipped past the reply cache.
     if (request.requestId != 0 &&
-        request.requestId <= session.lastRequestId) {
+        request.requestId <= session->lastRequestId) {
         note("request-rejected:duplicate", request.account);
         return std::nullopt;
     }
 
     // Nonce freshness: must echo exactly the nonce issued with the
     // previous page (replay defence).
-    if (!core::constantTimeEqual(request.nonce, session.expectedNonce)) {
+    if (!core::constantTimeEqual(request.nonce, session->expectedNonce)) {
         note("request-rejected:stale-nonce", request.account);
         return std::nullopt;
     }
 
     // Risk policy: the continuous-auth signal from FLock.
-    if (request.riskWindow >= policy_.riskEnforceWindow &&
-        request.riskMatched < policy_.minRiskMatched) {
+    if (request.riskWindow >= kRiskEnforceWindow &&
+        request.riskMatched < kMinRiskMatched) {
         note("request-rejected:risk", request.account);
         return std::nullopt;
     }
@@ -811,7 +758,7 @@ WebServer::handlePageRequest(const PageRequest &request)
     // pays one render + hash per view on each request.
     if (policy_.onlineFrameVerification) {
         const auto expected = expectedFrameHashes(
-            pageFor(session.currentTag), display_, frameHash_);
+            pageFor(session->currentTag), display_, frameHash_);
         const bool hash_known =
             std::find(expected.begin(), expected.end(),
                       request.frameHash) != expected.end();
@@ -821,32 +768,19 @@ WebServer::handlePageRequest(const PageRequest &request)
         }
     }
     appendAuditEntry({request.account, request.sessionId,
-                      session.currentTag, request.frameHash});
+                      session->currentTag, request.frameHash});
 
     if (request.requestId != 0)
-        session.lastRequestId = request.requestId;
+        session->lastRequestId = request.requestId;
     ContentPage page =
-        makeContentPage(request.sessionId, session,
+        makeContentPage(request.sessionId, *session,
                         "page/" + request.action, request.requestId);
 
-    // Phase 3 (shard lock): commit the rotated nonce. If another
-    // thread consumed this session's nonce meanwhile (same-key
-    // race), this request loses and is rejected as stale.
-    bool committed = false;
-    {
-        SessionShard &shard = sessionShard(request.sessionId);
-        std::lock_guard<std::mutex> lock(shard.sessionsMutex);
-        const auto it = shard.sessions.find(request.sessionId);
-        if (it != shard.sessions.end() &&
-            core::constantTimeEqual(it->second.expectedNonce,
-                                    request.nonce)) {
-            it->second = session;
-            if (store_)
-                store_->putSession(request.sessionId, session);
-            committed = true;
-        }
-    }
-    if (!committed) {
+    // Phase 3 (store shard lock): commit the rotated nonce. If
+    // another thread consumed this session's nonce meanwhile
+    // (same-key race), this request loses and is rejected as stale.
+    if (!store_->replaceSessionIf(request.sessionId, request.nonce,
+                                  *session)) {
         note("request-rejected:stale-nonce", request.account);
         return std::nullopt;
     }
@@ -857,9 +791,7 @@ WebServer::handlePageRequest(const PageRequest &request)
 bool
 WebServer::accountRegistered(const std::string &account) const
 {
-    const AccountShard &shard = accountShard(account);
-    std::lock_guard<std::mutex> lock(shard.accountsMutex);
-    return shard.database.count(account) > 0;
+    return store_->hasAccount(account);
 }
 
 bool
@@ -869,25 +801,15 @@ WebServer::resetIdentity(const std::string &account)
     // from the new device).
     bool existed = false;
     {
+        // Under the account shard lock, so a racing registration
+        // commit cannot land between the check and the erase.
         AccountShard &shard = accountShard(account);
         std::lock_guard<std::mutex> lock(shard.accountsMutex);
-        existed = shard.database.erase(account) > 0;
-        if (existed && store_)
+        existed = store_->hasAccount(account);
+        if (existed)
             store_->eraseAccount(account);
     }
-    for (const auto &shard : sessionShards_) {
-        std::lock_guard<std::mutex> lock(shard->sessionsMutex);
-        for (auto it = shard->sessions.begin();
-             it != shard->sessions.end();) {
-            if (it->second.account == account) {
-                if (store_)
-                    store_->eraseSession(it->first);
-                it = shard->sessions.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    }
+    store_->eraseSessionsOf(account);
     if (existed)
         note("identity-reset", account);
     return existed;
@@ -900,9 +822,7 @@ WebServer::installRevocationList(std::vector<std::uint64_t> serials)
     serials.erase(std::unique(serials.begin(), serials.end()),
                   serials.end());
     std::lock_guard<std::mutex> lock(revocationMutex_);
-    revokedSerials_ = std::move(serials);
-    if (store_)
-        store_->setRevocations(revokedSerials_);
+    store_->setRevocations(serials);
 }
 
 std::optional<CrlAck>
@@ -918,14 +838,14 @@ WebServer::handleCrl(const CrlMessage &crl)
     ack.domain = domain_;
     {
         // Set union: sorted-unique merge of the delta into the
-        // cache. Serials only ever enter the set, never leave, and
+        // list. Serials only ever enter the set, never leave, and
         // union is order-independent — so interleaved, reordered or
         // duplicated CRL deliveries all converge to the same set.
         std::lock_guard<std::mutex> lock(revocationMutex_);
+        const std::vector<std::uint64_t> cached = store_->revocations();
         std::vector<std::uint64_t> merged = crl.revokedSerials;
         std::sort(merged.begin(), merged.end());
-        merged.insert(merged.end(), revokedSerials_.begin(),
-                      revokedSerials_.end());
+        merged.insert(merged.end(), cached.begin(), cached.end());
         std::inplace_merge(merged.begin(),
                            merged.begin() +
                                static_cast<std::ptrdiff_t>(
@@ -933,13 +853,10 @@ WebServer::handleCrl(const CrlMessage &crl)
                            merged.end());
         merged.erase(std::unique(merged.begin(), merged.end()),
                      merged.end());
-        revokedSerials_ = std::move(merged);
+        store_->setRevocations(merged);
         crlSeq_ = std::max(crlSeq_, crl.crlSeq);
         ack.crlSeq = crlSeq_;
-        ack.revokedCount =
-            static_cast<std::uint32_t>(revokedSerials_.size());
-        if (store_)
-            store_->setRevocations(revokedSerials_);
+        ack.revokedCount = static_cast<std::uint32_t>(merged.size());
     }
     note("crl-accepted", std::string(),
          "seq" + std::to_string(crl.crlSeq));
@@ -977,30 +894,19 @@ WebServer::crlHighWater() const
 std::vector<std::uint64_t>
 WebServer::revokedSerialsSnapshot() const
 {
-    std::lock_guard<std::mutex> lock(revocationMutex_);
-    return revokedSerials_;
+    return store_->revocations();
 }
 
 std::size_t
 WebServer::registeredAccounts() const
 {
-    std::size_t total = 0;
-    for (const auto &shard : accountShards_) {
-        std::lock_guard<std::mutex> lock(shard->accountsMutex);
-        total += shard->database.size();
-    }
-    return total;
+    return store_->liveAccounts();
 }
 
 std::size_t
 WebServer::activeSessions() const
 {
-    std::size_t total = 0;
-    for (const auto &shard : sessionShards_) {
-        std::lock_guard<std::mutex> lock(shard->sessionsMutex);
-        total += shard->sessions.size();
-    }
-    return total;
+    return store_->liveSessions();
 }
 
 std::size_t

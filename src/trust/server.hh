@@ -2,11 +2,15 @@
  * @file
  * The TRUST-aware Web Server (Figs. 8-10 server side).
  *
- * Holds the CA-issued server certificate, the Server Database of
- * (account, user public key) bindings created at registration, the
- * per-session state of the continuous-authentication protocol, and
- * the frame-hash audit log the paper proposes for offline detection
- * of display tampering.
+ * Holds the CA-issued server certificate, the outstanding handshake
+ * nonces, the reply cache and the frame-hash audit log the paper
+ * proposes for offline detection of display tampering. The Server
+ * Database of (account, user public key) bindings created at
+ * registration, the per-session state of the continuous-
+ * authentication protocol and the revoked-serial list are one table,
+ * a TrustStore: the attached one, or the server's own private store
+ * when none is attached. Every row is read from and written to that
+ * table; the server keeps no copy.
  *
  * **Concurrency.** `handle()` is safe to call from many threads at
  * once: every mutable table is striped into locked shards keyed by
@@ -16,7 +20,9 @@
  * single-lock-at-a-time — no code path acquires a second shard
  * mutex while holding one (expensive crypto always runs between
  * lock scopes, re-validating state after reacquisition), which is
- * exactly the invariant trustlint's `lock-order` rule checks.
+ * exactly the invariant trustlint's `lock-order` rule checks. The
+ * store's shard mutexes are leaves: a store call may run inside an
+ * account-shard scope and takes no further lock.
  * Decisions stay deterministic per key under any interleaving; see
  * DESIGN.md §11.
  */
@@ -34,6 +40,7 @@
 #include <vector>
 
 #include "core/stats.hh"
+#include "core/wal/storage.hh"
 #include "crypto/cert.hh"
 #include "hw/flock_hw.hh"
 #include "trust/messages.hh"
@@ -69,16 +76,6 @@ struct AdmissionConfig
 /** Server-side policy knobs. */
 struct ServerPolicy
 {
-    /**
-     * Minimum matched touches the risk field must report once the
-     * window is full; requests below are rejected (Fig. 10 "update
-     * identity risk" on the server side).
-     */
-    std::uint32_t minRiskMatched = 2;
-
-    /** Window fill above which the risk policy is enforced. */
-    std::uint32_t riskEnforceWindow = 8;
-
     /** Verify frame hashes online instead of logging for audit. */
     bool onlineFrameVerification = false;
 
@@ -186,17 +183,15 @@ class WebServer
     // --- Persistence -----------------------------------------------------
 
     /**
-     * Adopt @p store as the durability layer: import its recovered
-     * state (account bindings, sessions, revocations, session-id
-     * high-water mark) into the shards, then durably log every
-     * subsequent mutation before the reply leaves the server.
-     * Call once, after TrustStore::recover(), before serving
-     * traffic (NOT thread-safe against concurrent handle()).
+     * Adopt @p store as the server's account, session and
+     * revocation table, in O(1): every handler reads its rows and
+     * logs every change through it before the reply leaves the
+     * server. New session ids continue above the store's highest.
+     * nullptr goes back to the server's private store. Call after
+     * TrustStore::recover(), before serving traffic (NOT thread-safe
+     * against concurrent handle()).
      */
     void attachStore(TrustStore *store);
-
-    /** The attached durability layer (nullptr = in-memory only). */
-    TrustStore *store() const { return store_; }
 
     // --- Typed handlers (Fig. 9 / Fig. 10 steps) -----------------------
 
@@ -233,7 +228,7 @@ class WebServer
 
     /**
      * Wire-path CRL ingestion: verify the CA root signature over the
-     * list, then merge the carried serials into the revocation cache
+     * list, then merge the carried serials into the revocation list
      * by set union and advance the crlSeq high-water mark. Union is
      * commutative, associative and idempotent, so any delivery order
      * (and any redelivery) of a set of CRLs converges to the same
@@ -255,7 +250,7 @@ class WebServer
     /** Highest CRL sequence number merged so far. */
     std::uint64_t crlHighWater() const;
 
-    /** Sorted copy of the revoked-serial cache (test hook). */
+    /** Copy of the store's revoked-serial list (test hook). */
     std::vector<std::uint64_t> revokedSerialsSnapshot() const;
 
     std::size_t registeredAccounts() const;
@@ -316,25 +311,17 @@ class WebServer
     };
 
     /**
-     * Account-keyed state stripe: the credential database plus the
-     * outstanding registration/login nonces of the accounts hashing
-     * here. One account's operations always serialize on one shard.
+     * Account-keyed state stripe: the outstanding registration/login
+     * nonces of the accounts hashing here. One account's handshake
+     * and binding changes always serialize on one shard.
      */
     struct AccountShard
     {
         mutable std::mutex accountsMutex;
-        std::map<std::string, crypto::RsaPublicKey> database;
         std::map<std::string, std::vector<PendingNonce>> pendingReg;
         std::map<std::string, std::vector<PendingNonce>> pendingLogin;
         /** Issue-ordered refs driving the bound + TTL eviction. */
         std::deque<HandshakeRef> handshakeFifo;
-    };
-
-    /** Session-id-keyed state stripe. */
-    struct SessionShard
-    {
-        mutable std::mutex sessionsMutex;
-        std::map<std::uint64_t, StoredSession> sessions;
     };
 
     /** Sender-keyed reply-dedup stripe (bounded FIFO, LRU-ish). */
@@ -366,7 +353,6 @@ class WebServer
     };
 
     static constexpr std::size_t kAccountShards = 16;
-    static constexpr std::size_t kSessionShards = 16;
     static constexpr std::size_t kDedupShards = 8;
     static constexpr std::size_t kDedupPerShard = 128;
     static constexpr std::size_t kAdmissionShards = 4;
@@ -377,8 +363,6 @@ class WebServer
     void buildShards();
 
     AccountShard &accountShard(const std::string &account);
-    const AccountShard &accountShard(const std::string &account) const;
-    SessionShard &sessionShard(std::uint64_t session_id);
     DedupShard &dedupShard(const std::string &from);
     AdmissionShard &admissionShard(const std::string &from);
 
@@ -460,17 +444,20 @@ class WebServer
     hw::FrameHashEngine frameHash_;
 
     std::vector<std::unique_ptr<AccountShard>> accountShards_;
-    std::vector<std::unique_ptr<SessionShard>> sessionShards_;
     std::vector<std::unique_ptr<DedupShard>> dedupShards_;
     std::vector<std::unique_ptr<AdmissionShard>> admissionShards_;
     std::atomic<std::uint64_t> nextSessionId_{1};
-    TrustStore *store_ = nullptr; ///< Durability layer (optional).
+    /** Backing disk and table of a server never given a store. */
+    core::wal::SimulatedStorage ownStorage_;
+    TrustStore ownStore_;
+    TrustStore *store_; ///< The account/session/revocation table.
 
     mutable std::mutex auditMutex_;
     std::vector<AuditEntry> auditLog_;
 
+    /** Makes each CRL merge's read-modify-write of the store's
+     *  revocation list atomic. */
     mutable std::mutex revocationMutex_;
-    std::vector<std::uint64_t> revokedSerials_; ///< Sorted, unique.
     std::uint64_t crlSeq_ = 0; ///< Guarded by revocationMutex_.
 
     mutable std::mutex countersMutex_;

@@ -54,6 +54,16 @@ sessionRow(core::FieldsOf<std::uint64_t> auto &id,
                     session.lastRequestId);
 }
 
+/** One record body: the fields of @p row, in order. */
+template <typename... T>
+core::Bytes
+encodeRow(const std::tuple<T &...> &row)
+{
+    core::ByteWriter w;
+    core::writeFields(w, row);
+    return w.take();
+}
+
 /**
  * Visit the entries of map @p field across @p parts in key order.
  * Parts hold disjoint keys (one per shard), so this is a k-way merge
@@ -351,6 +361,45 @@ TrustStore::state() const
     return merged;
 }
 
+bool
+TrustStore::hasAccount(const std::string &account) const
+{
+    const Shard &shard = *shards_[shardForAccount(account)];
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    return shard.state.accounts.count(account) > 0;
+}
+
+std::optional<StoredSession>
+TrustStore::session(std::uint64_t id) const
+{
+    const Shard &shard = *shards_[shardForSession(id)];
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    const auto it = shard.state.sessions.find(id);
+    if (it == shard.state.sessions.end())
+        return std::nullopt;
+    return it->second;
+}
+
+std::vector<std::uint64_t>
+TrustStore::revocations() const
+{
+    // Revocations live in shard 0 (see setRevocations()).
+    const Shard &shard = *shards_[0];
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    return shard.state.revokedSerials;
+}
+
+std::uint64_t
+TrustStore::maxSessionId() const
+{
+    std::uint64_t max_id = 0;
+    for (const auto &shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard->mutex);
+        max_id = std::max(max_id, shard->state.maxSessionId);
+    }
+    return max_id;
+}
+
 void
 TrustStore::appendLocked(Shard &shard, RecordType type,
                          const core::Bytes &body)
@@ -377,9 +426,8 @@ TrustStore::putAccount(const std::string &account,
 {
     Shard &shard = *shards_[shardForAccount(account)];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    core::ByteWriter w;
-    core::writeFields(w, accountRow(account, serializedKey));
-    appendLocked(shard, RecordType::AccountPut, w.take());
+    appendLocked(shard, RecordType::AccountPut,
+                 encodeRow(accountRow(account, serializedKey)));
 }
 
 void
@@ -387,9 +435,8 @@ TrustStore::eraseAccount(const std::string &account)
 {
     Shard &shard = *shards_[shardForAccount(account)];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    core::ByteWriter w;
-    core::writeField(w, account);
-    appendLocked(shard, RecordType::AccountErase, w.take());
+    appendLocked(shard, RecordType::AccountErase,
+                 encodeRow(std::tie(account)));
 }
 
 void
@@ -397,9 +444,8 @@ TrustStore::putSession(std::uint64_t id, const StoredSession &session)
 {
     Shard &shard = *shards_[shardForSession(id)];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    core::ByteWriter w;
-    core::writeFields(w, sessionRow(id, session));
-    appendLocked(shard, RecordType::SessionPut, w.take());
+    appendLocked(shard, RecordType::SessionPut,
+                 encodeRow(sessionRow(id, session)));
 }
 
 void
@@ -407,9 +453,41 @@ TrustStore::eraseSession(std::uint64_t id)
 {
     Shard &shard = *shards_[shardForSession(id)];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    core::ByteWriter w;
-    core::writeField(w, id);
-    appendLocked(shard, RecordType::SessionErase, w.take());
+    appendLocked(shard, RecordType::SessionErase, encodeRow(std::tie(id)));
+}
+
+// trustlint: validator
+bool
+TrustStore::replaceSessionIf(std::uint64_t id,
+                             const core::Bytes &expectedNonce,
+                             const StoredSession &session)
+{
+    Shard &shard = *shards_[shardForSession(id)];
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    const auto it = shard.state.sessions.find(id);
+    if (it == shard.state.sessions.end() ||
+        !core::constantTimeEqual(it->second.expectedNonce,
+                                 expectedNonce))
+        return false;
+    appendLocked(shard, RecordType::SessionPut,
+                 encodeRow(sessionRow(id, session)));
+    return true;
+}
+
+void
+TrustStore::eraseSessionsOf(const std::string &account)
+{
+    for (const auto &shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard->mutex);
+        // Collect first: each logged erase also erases from the map.
+        std::vector<std::uint64_t> ids;
+        for (const auto &[id, session] : shard->state.sessions)
+            if (session.account == account)
+                ids.push_back(id);
+        for (const std::uint64_t id : ids)
+            appendLocked(*shard, RecordType::SessionErase,
+                         encodeRow(std::tie(id)));
+    }
 }
 
 void
@@ -419,9 +497,8 @@ TrustStore::setRevocations(const std::vector<std::uint64_t> &serials)
     // lives in shard 0 so replay order against itself is total.
     Shard &shard = *shards_[0];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    core::ByteWriter w;
-    core::writeField(w, serials);
-    appendLocked(shard, RecordType::Revocations, w.take());
+    appendLocked(shard, RecordType::Revocations,
+                 encodeRow(std::tie(serials)));
 }
 
 void

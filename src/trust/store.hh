@@ -2,9 +2,11 @@
  * @file
  * Durable account/session store for the trust servers.
  *
- * TrustStore turns WebServer shard mutations into seq-numbered,
- * typed WAL records and periodically folds them into atomically-
- * renamed snapshots. The persistent tier is *partitioned*: mutations
+ * TrustStore is the server's account, session and revocation table:
+ * WebServer reads every row from it and writes every change through
+ * it. Each change becomes a seq-numbered, typed WAL record before it
+ * is applied to the live table, and records are periodically folded
+ * into atomically-renamed snapshots. The table is *partitioned*: rows
  * are routed by key hash to one of `StorePolicy::shards` independent
  * shards, each with its own mutex, its own segmented log
  * (core/wal/segment.hh) and its own snapshot pair — so concurrent
@@ -37,7 +39,7 @@
  * **Concurrency.** Each shard's mutex is a *leaf*: no TrustStore
  * method acquires any other lock while holding one, and cross-shard
  * aggregation (state(), stateDigest(), counters) locks shards one
- * at a time. WebServer may append from inside its own shard
+ * at a time. WebServer may read and write from inside its own shard
  * critical sections without lock-order cycles.
  *
  * **stateDigest() is NOT a serving-path operation.** It merges and
@@ -56,6 +58,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -183,7 +186,8 @@ class TrustStore
      */
     RecoveryReport recover();
 
-    /** Merged materialized state (copy; thread-safe). O(live). */
+    /** Merged materialized state (copy; thread-safe). O(live):
+     *  for tests and audits; serving reads single rows below. */
     StoreState state() const;
 
     // --- Mutations (each durably logged before returning) ------------
@@ -194,6 +198,29 @@ class TrustStore
     void putSession(std::uint64_t id, const StoredSession &session);
     void eraseSession(std::uint64_t id);
     void setRevocations(const std::vector<std::uint64_t> &serials);
+
+    /**
+     * Replace session @p id with @p session (logged like putSession)
+     * only if its stored expectedNonce still equals @p expectedNonce,
+     * compared in constant time. Returns false, logging nothing, when
+     * the session is gone or another request rotated its nonce.
+     */
+    bool replaceSessionIf(std::uint64_t id,
+                          const core::Bytes &expectedNonce,
+                          const StoredSession &session);
+
+    /** Erase (and log) every session of @p account. */
+    void eraseSessionsOf(const std::string &account);
+
+    // --- Row reads (thread-safe; one shard lock at a time) ----------
+
+    bool hasAccount(const std::string &account) const;
+    /** Copy of session @p id, or nullopt. */
+    std::optional<StoredSession> session(std::uint64_t id) const;
+    /** The revoked device-certificate serials last set. */
+    std::vector<std::uint64_t> revocations() const;
+    /** Highest session id ever issued (0 = none). */
+    std::uint64_t maxSessionId() const;
 
     /** Force out group-commit tails + a snapshot of every shard. */
     void checkpoint();

@@ -33,6 +33,7 @@
 #include "core/parallel.hh"
 #include "core/wal/segment.hh"
 #include "core/rng.hh"
+#include "crypto/hmac.hh"
 #include "tests/trust/fixtures.hh"
 #include "touch/behavior.hh"
 #include "trust/fleet.hh"
@@ -364,6 +365,86 @@ TEST(Recovery, DeviceResumesSessionAgainstRestartedServer)
     EXPECT_GE(server2.counters().get("request-accepted"), 1u);
     // ...and no re-registration happened: the binding is durable.
     EXPECT_EQ(server2.counters().get("registration-accepted"), 0u);
+}
+
+/**
+ * The attached store is the server's only account and session
+ * table: rows written straight into the store after attach are
+ * counted and served by the server, and an identity reset leaves
+ * none of the account's sessions in the store.
+ */
+TEST(Recovery, AttachedStoreIsTheServersOnlyTable)
+{
+    EcosystemConfig config;
+    config.seed = 7350;
+    Ecosystem eco(config);
+    const std::string domain = "www.bank.com";
+    WebServer server(domain, eco.ca(), 7351, config.rsaBits);
+    const Bytes key = server.publicKey().serialize();
+
+    SimulatedStorage disk;
+    {
+        TrustStore before_crash(disk, "srv");
+        before_crash.recover();
+        before_crash.putAccount("alice", key);
+    }
+    disk.crashClean();
+    TrustStore store(disk, "srv");
+    store.recover();
+    server.attachStore(&store);
+    EXPECT_EQ(server.registeredAccounts(), 1u);
+
+    // Rows that reach the store without passing through the server.
+    const auto session_for = [](const std::string &account,
+                                std::uint8_t fill) {
+        StoredSession session;
+        session.account = account;
+        session.sessionKey = Bytes(32, fill);
+        session.expectedNonce =
+            Bytes(16, static_cast<std::uint8_t>(fill + 1));
+        session.currentTag = "home";
+        return session;
+    };
+    store.putAccount("bob", key);
+    const StoredSession bob = session_for("bob", 0x41);
+    store.putSession(41, bob);
+    store.putSession(42, session_for("bob", 0x51));
+    store.putSession(43, session_for("alice", 0x61));
+    EXPECT_EQ(server.registeredAccounts(), 2u);
+    EXPECT_EQ(server.activeSessions(), 3u);
+    EXPECT_TRUE(server.accountRegistered("bob"));
+
+    // The server serves session 41 from the store row, and the next
+    // request must echo the nonce it rotated there.
+    const auto page_request = [&](std::uint64_t id,
+                                  const Bytes &nonce) {
+        PageRequest request;
+        request.requestId = id;
+        request.domain = domain;
+        request.account = "bob";
+        request.sessionId = 41;
+        request.nonce = nonce;
+        request.action = "inbox";
+        request.frameHash = Bytes(32, 0);
+        request.mac = trust::crypto::hmacSha256(bob.sessionKey,
+                                                request.macBody());
+        return request;
+    };
+    const auto first = server.handlePageRequest(
+        page_request(1, bob.expectedNonce));
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->sessionId, 41u);
+    EXPECT_FALSE(server.handlePageRequest(
+                           page_request(2, bob.expectedNonce))
+                     .has_value());
+    EXPECT_TRUE(
+        server.handlePageRequest(page_request(3, first->nonce))
+            .has_value());
+
+    EXPECT_TRUE(server.resetIdentity("bob"));
+    EXPECT_EQ(store.liveAccounts(), 1u);
+    EXPECT_EQ(store.liveSessions(), 1u); // alice's session 43 only
+    EXPECT_EQ(server.activeSessions(), 1u);
 }
 
 /**
