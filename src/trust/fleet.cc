@@ -557,6 +557,9 @@ Storm::restartServers()
                 .get();
 }
 
+/** Impostor touches driven into each compromised device. */
+constexpr int kImpostorTouches = 10;
+
 void
 Storm::runCompromisedCloseout()
 {
@@ -575,7 +578,7 @@ Storm::runCompromisedCloseout()
             fingerprint::synthesizeFinger(
                 static_cast<std::uint64_t>(ch.index) + 7777,
                 impostor_rng);
-        for (int t = 0; t < config_.impostorTouches; ++t) {
+        for (int t = 0; t < kImpostorTouches; ++t) {
             ch.device->onTouch(criticalTouch(*ch.device), &impostor);
             ch.queue.run();
         }
@@ -710,6 +713,24 @@ populationKey(std::size_t index, std::uint64_t generation,
     return key;
 }
 
+/** Zipf exponent for account activity (1.0 ≈ web traffic). */
+constexpr double kZipfExponent = 1.0;
+
+// Churn mix (relative weights, normalized by weightedIndex).
+constexpr double kSessionRefreshWeight = 0.82; ///< putSession (rolling nonce).
+constexpr double kSessionEraseWeight = 0.06;   ///< eraseSession (logout).
+constexpr double kAccountRotateWeight = 0.12;  ///< putAccount (key rotation).
+
+/** Flash-crowd window, as fractions of the event count. */
+constexpr double kFlashCrowdStartFraction = 0.4;
+constexpr double kFlashCrowdLengthFraction = 0.2;
+
+/** Serialized "public key" size. */
+constexpr std::size_t kKeyBytes = 24;
+
+/** Peak-storage sampling stride (events between samples). */
+constexpr std::size_t kSampleEvery = 4096;
+
 StoredSession
 populationSessionRow(std::size_t index, std::uint64_t refresh)
 {
@@ -742,7 +763,7 @@ runPopulation(TrustStore &store, const PopulationConfig &config)
     PopulationStats stats;
     stats.accounts = config.accounts;
     core::Rng rng(config.seed);
-    const ZipfSampler zipf(config.accounts, config.zipfExponent);
+    const ZipfSampler zipf(config.accounts, kZipfExponent);
 
     // Rotation/refresh generation per account index keeps every
     // regenerated key and session row distinct and reproducible.
@@ -753,7 +774,7 @@ runPopulation(TrustStore &store, const PopulationConfig &config)
     // each — the "live state" the bounded-recovery claim is about.
     for (std::size_t i = 0; i < config.accounts; ++i) {
         store.putAccount(populationAccount(i),
-                         populationKey(i, 0, config.keyBytes));
+                         populationKey(i, 0, kKeyBytes));
         store.putSession(populationSession(i),
                          populationSessionRow(i, 0));
         hasSession[i] = true;
@@ -764,16 +785,15 @@ runPopulation(TrustStore &store, const PopulationConfig &config)
     const std::size_t hotSet = std::max<std::size_t>(
         16, std::min(config.accounts, config.accounts / 1000 + 16));
     const auto crowdStart = static_cast<std::size_t>(
-        config.flashCrowdStartFraction *
-        static_cast<double>(config.events));
+        kFlashCrowdStartFraction * static_cast<double>(config.events));
     const auto crowdEnd =
         crowdStart +
-        static_cast<std::size_t>(config.flashCrowdLengthFraction *
+        static_cast<std::size_t>(kFlashCrowdLengthFraction *
                                  static_cast<double>(config.events));
 
-    const std::vector<double> weights = {config.sessionRefreshWeight,
-                                         config.sessionEraseWeight,
-                                         config.accountRotateWeight};
+    const std::vector<double> weights = {kSessionRefreshWeight,
+                                         kSessionEraseWeight,
+                                         kAccountRotateWeight};
 
     for (std::size_t e = 0; e < config.events; ++e) {
         std::size_t index;
@@ -805,14 +825,13 @@ runPopulation(TrustStore &store, const PopulationConfig &config)
             ++generation[index];
             store.putAccount(populationAccount(index),
                              populationKey(index, generation[index],
-                                           config.keyBytes));
+                                           kKeyBytes));
             ++stats.accountRotations;
             break;
         }
         ++stats.events;
 
-        if (config.sampleEvery != 0 &&
-            (e + 1) % config.sampleEvery == 0)
+        if ((e + 1) % kSampleEvery == 0)
             stats.peakStorageBytes = std::max(
                 stats.peakStorageBytes, store.storageBytes());
     }

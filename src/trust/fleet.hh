@@ -206,8 +206,6 @@ struct StormConfig
     int stormClicks = 2;
     /** Clicks in the post-storm legitimate verification burst. */
     int verifyClicks = 2;
-    /** Impostor touches driven into each compromised device. */
-    int impostorTouches = 10;
 
     /**
      * Crash every server at the phase-2 → phase-3 barrier and
@@ -327,7 +325,9 @@ class Storm
  * session per account, so live state stays O(accounts)), logouts,
  * and key rotations. An optional flash crowd concentrates a window
  * of arrivals onto the hottest accounts, modeling the paper's
- * upgrade-day/incident surges.
+ * upgrade-day/incident surges. The Zipf exponent (1.0), the churn
+ * mix (82 % refresh, 6 % logout, 12 % rotation) and the crowd
+ * window (events 40-60 %) are fixed next to runPopulation.
  */
 struct PopulationConfig
 {
@@ -335,25 +335,10 @@ struct PopulationConfig
     std::size_t accounts = 10 * 1000;
     std::size_t events = 50 * 1000; ///< Churn mutations after enroll.
 
-    /** Zipf exponent for account activity (1.0 ≈ web traffic). */
-    double zipfExponent = 1.0;
-
-    // Churn mix (relative weights, normalized internally).
-    double sessionRefreshWeight = 0.82; ///< putSession (rolling nonce).
-    double sessionEraseWeight = 0.06;   ///< eraseSession (logout).
-    double accountRotateWeight = 0.12;  ///< putAccount (key rotation).
-
     /** Flash crowd: a window of events biased to the hottest
      *  accounts (off = pure Zipf throughout). */
     bool flashCrowd = true;
-    double flashCrowdStartFraction = 0.4;  ///< Window start (of events).
-    double flashCrowdLengthFraction = 0.2; ///< Window length.
     double flashCrowdBias = 0.8; ///< P(window event hits the hot set).
-
-    std::size_t keyBytes = 24; ///< Serialized "public key" size.
-
-    /** Peak-storage sampling stride (events between samples). */
-    std::size_t sampleEvery = 4096;
 };
 
 /** What the population run did and what it cost on storage. */

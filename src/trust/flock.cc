@@ -315,7 +315,6 @@ FlockModule::handleLoginPage(const LoginPage &page,
 
     Session session;
     session.sessionKey = rng_.randomBytes(32);
-    session.pendingLoginNonce = page.nonce;
     session.established = false;
 
     LoginSubmit submit;

@@ -264,7 +264,6 @@ class FlockModule
         std::uint64_t sessionId = 0;
         core::Bytes nextNonce; // trustlint: secret
         bool established = false;
-        core::Bytes pendingLoginNonce; // trustlint: secret
     };
 
     /** Match a capture against one enrolled finger. */

@@ -3,9 +3,8 @@
 namespace trust::trust {
 
 LocalIdentityManager::LocalIdentityManager(
-    hw::BiometricTouchscreen &screen, FlockModule &flock,
-    ResponsePolicy policy)
-    : screen_(screen), flock_(flock), policy_(policy)
+    hw::BiometricTouchscreen &screen, FlockModule &flock)
+    : screen_(screen), flock_(flock)
 {
 }
 
@@ -65,21 +64,31 @@ LocalIdentityManager::processTouch(
     return outcome;
 }
 
+// Pre-defined responses when the risk policies fire.
+
+/** Lock when the k-of-n window is violated. */
+constexpr bool kLockOnWindowViolation = true;
+
+/** Lock immediately on repeated explicit match rejections. */
+constexpr bool kLockOnHardFailure = true;
+
+/** Explicit rejections within a window that count as hard. */
+constexpr int kHardFailureRejects = 3;
+
 void
 LocalIdentityManager::applyPolicy()
 {
     if (state_ != LockState::Unlocked)
         return;
     const auto risk = flock_.risk();
-    if (policy_.lockOnHardFailure &&
-        risk.rejected >= policy_.hardFailureRejects &&
+    if (kLockOnHardFailure && risk.rejected >= kHardFailureRejects &&
         risk.rejected > 2 * risk.matched) {
         state_ = LockState::Locked;
         counters_.bump("lock:hard-failure");
         flock_.resetRisk();
         return;
     }
-    if (policy_.lockOnWindowViolation && flock_.riskViolated()) {
+    if (kLockOnWindowViolation && flock_.riskViolated()) {
         state_ = LockState::Locked;
         counters_.bump("lock:window-violation");
         flock_.resetRisk();

@@ -22,26 +22,12 @@ enum class LockState
     Unlocked,
 };
 
-/** What to do when risk policies fire. */
-struct ResponsePolicy
-{
-    /** Lock when the k-of-n window is violated. */
-    bool lockOnWindowViolation = true;
-
-    /** Lock immediately on repeated explicit match rejections. */
-    bool lockOnHardFailure = true;
-
-    /** Explicit rejections within a window that count as hard. */
-    int hardFailureRejects = 3;
-};
-
 /** The Fig. 6 state machine. */
 class LocalIdentityManager
 {
   public:
     LocalIdentityManager(hw::BiometricTouchscreen &screen,
-                         FlockModule &flock,
-                         ResponsePolicy policy = {});
+                         FlockModule &flock);
 
     LockState state() const { return state_; }
 
@@ -75,7 +61,6 @@ class LocalIdentityManager
 
     hw::BiometricTouchscreen &screen_;
     FlockModule &flock_;
-    ResponsePolicy policy_;
     LockState state_ = LockState::Locked;
     core::CounterSet counters_;
 };

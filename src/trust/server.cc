@@ -1,6 +1,7 @@
 #include "trust/server.hh"
 
 #include <algorithm>
+#include <map>
 
 #include "core/logging.hh"
 #include "core/obs/obs.hh"
@@ -78,12 +79,18 @@ WebServer::WebServer(std::string domain,
 void
 WebServer::buildShards()
 {
+    // The handshake bound is striped: each shard holds an equal
+    // slice of maxPendingHandshakes.
+    const std::size_t handshake_cap = std::max<std::size_t>(
+        1, policy_.maxPendingHandshakes / kAccountShards);
     accountShards_.reserve(kAccountShards);
     for (std::size_t i = 0; i < kAccountShards; ++i)
-        accountShards_.push_back(std::make_unique<AccountShard>());
+        accountShards_.push_back(
+            std::make_unique<AccountShard>(handshake_cap));
     dedupShards_.reserve(kDedupShards);
     for (std::size_t i = 0; i < kDedupShards; ++i)
-        dedupShards_.push_back(std::make_unique<DedupShard>());
+        dedupShards_.push_back(
+            std::make_unique<DedupShard>(policy_.maxDedupPerSender));
     admissionShards_.reserve(kAdmissionShards);
     for (std::size_t i = 0; i < kAdmissionShards; ++i)
         admissionShards_.push_back(std::make_unique<AdmissionShard>());
@@ -196,22 +203,6 @@ WebServer::admit(const std::string &from, core::Tick now,
     return true;
 }
 
-void
-WebServer::pruneDedup(DedupShard &shard, core::Tick now)
-{
-    // Entries are appended in arrival order, so expiry only ever
-    // needs to look at the front. now==0 callers (untimed handle())
-    // never prune: the guard below is false for every entry.
-    const core::Tick ttl = policy_.dedupTtl;
-    while (!shard.entries.empty()) {
-        const DedupEntry &front = shard.entries.front();
-        if (ttl != 0 && now > ttl && front.seen < now - ttl)
-            shard.entries.pop_front();
-        else
-            break;
-    }
-}
-
 HandleResult
 WebServer::handleTimed(const core::Bytes &request,
                        const std::string &from, core::Tick now)
@@ -231,23 +222,22 @@ WebServer::handleTimed(const core::Bytes &request,
     // time). Id 0 is the "no id" sentinel and is never cached.
     const bool dedupable = !from.empty() && *id != 0;
     if (dedupable) {
-        core::Bytes cached;
         bool hit = false;
         {
             DedupShard &shard = dedupShard(from);
             std::lock_guard<std::mutex> lock(shard.dedupMutex);
-            pruneDedup(shard, now);
-            for (const auto &entry : shard.entries) {
-                if (entry.from == from && entry.requestId == *id) {
-                    cached = entry.reply;
-                    hit = true;
-                    break;
-                }
+            shard.replies.prune(now, policy_.dedupTtl);
+            const CachedReply *cached = shard.replies.lookup(
+                from, [&id](const CachedReply &entry) {
+                    return entry.requestId == *id;
+                });
+            if (cached != nullptr) {
+                result.reply = cached->reply;
+                hit = true;
             }
         }
         if (hit) {
             note("dedup-hit", from);
-            result.reply = cached;
             return result;
         }
     }
@@ -281,25 +271,10 @@ WebServer::handleTimed(const core::Bytes &request,
         reply_kind != MsgKind::ServerBusy) {
         DedupShard &shard = dedupShard(from);
         std::lock_guard<std::mutex> lock(shard.dedupMutex);
-        pruneDedup(shard, now);
-        // Per-sender cap: a chatty sender evicts its own oldest entry
+        shard.replies.prune(now, policy_.dedupTtl);
+        // Per-sender cap: a chatty sender evicts its own oldest reply
         // rather than squeezing other senders out of the shard.
-        std::size_t mine = 0;
-        for (const auto &entry : shard.entries)
-            if (entry.from == from)
-                ++mine;
-        if (mine >= policy_.maxDedupPerSender) {
-            const auto victim = std::find_if(
-                shard.entries.begin(), shard.entries.end(),
-                [&from](const DedupEntry &entry) {
-                    return entry.from == from;
-                });
-            if (victim != shard.entries.end())
-                shard.entries.erase(victim);
-        }
-        shard.entries.push_back({from, *id, reply, now});
-        if (shard.entries.size() > kDedupPerShard) // bound memory
-            shard.entries.pop_front();
+        shard.replies.push(from, now, {*id, reply});
     }
     result.reply = std::move(reply);
     return result;
@@ -372,92 +347,19 @@ WebServer::dispatch(MsgKind kind, const core::Bytes &request,
     }
 }
 
-void
-WebServer::eraseHandshakeNonce(AccountShard &shard, bool login,
-                               const std::string &account,
-                               const core::Bytes &nonce)
+std::string
+WebServer::handshakeKey(bool login, const std::string &account)
 {
-    auto &map = login ? shard.pendingLogin : shard.pendingReg;
-    const auto it = map.find(account);
-    if (it == map.end())
-        return;
-    auto &vec = it->second;
-    const auto pos = std::find_if(
-        vec.begin(), vec.end(),
-        [&](const PendingNonce &p) { return core::constantTimeEqual(p.nonce, nonce); });
-    if (pos != vec.end())
-        vec.erase(pos);
-    // Dropping the now-empty per-account vector is what keeps the
-    // *map* bounded too: before this, an account that only ever
-    // abandoned handshakes kept a key here forever.
-    if (vec.empty())
-        map.erase(it);
+    // Registration and login nonces of one account are capped apart.
+    return (login ? "login/" : "register/") + account;
 }
 
 // trustlint: validator
 bool
-WebServer::nonceOutstanding(const AccountShard &shard, bool login,
-                            const std::string &account,
-                            const core::Bytes &nonce)
+WebServer::nonceMatches(const PendingNonce &pending,
+                        const core::Bytes &nonce)
 {
-    const auto &map = login ? shard.pendingLogin : shard.pendingReg;
-    const auto it = map.find(account);
-    return it != map.end() &&
-           std::any_of(it->second.begin(), it->second.end(),
-                       [&](const PendingNonce &p) {
-                           return core::constantTimeEqual(p.nonce, nonce);
-                       });
-}
-
-void
-WebServer::pruneHandshakes(AccountShard &shard, core::Tick now)
-{
-    const core::Tick ttl = policy_.handshakeTtl;
-    // The FIFO is issue-ordered, so expiry only ever needs to look
-    // at the front. Refs whose nonce is already gone (consumed, or
-    // displaced by the per-account bound) are skipped for free.
-    while (!shard.handshakeFifo.empty()) {
-        const HandshakeRef &front = shard.handshakeFifo.front();
-        const bool live = nonceOutstanding(shard, front.login,
-                                           front.account, front.nonce);
-        const bool expired =
-            ttl != 0 && now > ttl && front.issued < now - ttl;
-        if (!live) {
-            shard.handshakeFifo.pop_front();
-            continue;
-        }
-        if (!expired)
-            break;
-        eraseHandshakeNonce(shard, front.login, front.account,
-                            front.nonce);
-        shard.handshakeFifo.pop_front();
-    }
-}
-
-void
-WebServer::recordHandshake(AccountShard &shard, bool login,
-                           const std::string &account,
-                           const core::Bytes &nonce, core::Tick now)
-{
-    pruneHandshakes(shard, now);
-    // Global bound, striped: each shard carries an equal slice of
-    // maxPendingHandshakes, evicting its oldest ref first — the
-    // same FIFO policy as the reply dedup cache. The cap applies to
-    // the bookkeeping FIFO, which upper-bounds live nonces.
-    const std::size_t cap = std::max<std::size_t>(
-        1, policy_.maxPendingHandshakes / kAccountShards);
-    while (shard.handshakeFifo.size() >= cap) {
-        const HandshakeRef victim = shard.handshakeFifo.front();
-        shard.handshakeFifo.pop_front();
-        eraseHandshakeNonce(shard, victim.login, victim.account,
-                            victim.nonce);
-    }
-    auto &outstanding =
-        (login ? shard.pendingLogin : shard.pendingReg)[account];
-    outstanding.push_back({nonce, now});
-    if (outstanding.size() > 16) // bound state per account
-        outstanding.erase(outstanding.begin());
-    shard.handshakeFifo.push_back({login, account, nonce, now});
+    return core::constantTimeEqual(pending.nonce, nonce);
 }
 
 RegistrationPage
@@ -475,8 +377,9 @@ WebServer::handleRegistrationRequest(const RegistrationRequest &request,
     {
         AccountShard &shard = accountShard(request.account);
         std::lock_guard<std::mutex> lock(shard.accountsMutex);
-        recordHandshake(shard, /*login=*/false, request.account,
-                        page.nonce, now);
+        shard.nonces.prune(now, policy_.handshakeTtl);
+        shard.nonces.push(handshakeKey(false, request.account), now,
+                            {page.nonce});
     }
     return page;
 }
@@ -500,14 +403,15 @@ WebServer::handleRegistrationSubmit(const RegistrationSubmit &submit)
     // only *consumed* in phase 3, after the signature checks pass —
     // a failed submit leaves it available for a clean retry, which
     // matches the pre-sharding behaviour.
+    const std::string key = handshakeKey(false, submit.account);
+    const auto issued = [&submit](const PendingNonce &pending) {
+        return nonceMatches(pending, submit.nonce);
+    };
     {
         AccountShard &shard = accountShard(submit.account);
         std::lock_guard<std::mutex> lock(shard.accountsMutex);
-        const bool live = nonceOutstanding(shard, /*login=*/false,
-                                           submit.account, submit.nonce);
-        if (!live) {
+        if (shard.nonces.lookup(key, issued) == nullptr)
             result.reason = "stale-nonce";
-        }
     }
     if (!result.reason.empty()) {
         note("registration-rejected", submit.account, result.reason);
@@ -555,13 +459,9 @@ WebServer::handleRegistrationSubmit(const RegistrationSubmit &submit)
     {
         AccountShard &shard = accountShard(submit.account);
         std::lock_guard<std::mutex> lock(shard.accountsMutex);
-        const bool live = nonceOutstanding(shard, /*login=*/false,
-                                           submit.account, submit.nonce);
-        if (!live) {
+        if (!shard.nonces.take(key, issued)) {
             result.reason = "stale-nonce";
         } else {
-            eraseHandshakeNonce(shard, /*login=*/false,
-                                submit.account, submit.nonce);
             // Bind under the shard lock so the binding commits with
             // the nonce it consumed (the store's mutex is a leaf; see
             // TrustStore).
@@ -593,8 +493,9 @@ WebServer::handleLoginRequest(const LoginRequest &request,
     {
         AccountShard &shard = accountShard(request.account);
         std::lock_guard<std::mutex> lock(shard.accountsMutex);
-        recordHandshake(shard, /*login=*/true, request.account,
-                        page.nonce, now);
+        shard.nonces.prune(now, policy_.handshakeTtl);
+        shard.nonces.push(handshakeKey(true, request.account), now,
+                            {page.nonce});
     }
     return page;
 }
@@ -626,14 +527,17 @@ WebServer::handleLoginSubmit(const LoginSubmit &submit)
 
     // Phase 1 (shard lock): account known, nonce outstanding. The
     // nonce is consumed in phase 3 after the key/MAC checks.
+    const std::string key = handshakeKey(true, submit.account);
+    const auto issued = [&submit](const PendingNonce &pending) {
+        return nonceMatches(pending, submit.nonce);
+    };
     bool known = false;
     bool nonce_live = false;
     {
         AccountShard &shard = accountShard(submit.account);
         std::lock_guard<std::mutex> lock(shard.accountsMutex);
         known = store_->hasAccount(submit.account);
-        nonce_live = nonceOutstanding(shard, /*login=*/true,
-                                      submit.account, submit.nonce);
+        nonce_live = shard.nonces.lookup(key, issued) != nullptr;
     }
     if (!known) {
         note("login-rejected:unknown-account", submit.account);
@@ -664,12 +568,7 @@ WebServer::handleLoginSubmit(const LoginSubmit &submit)
     {
         AccountShard &shard = accountShard(submit.account);
         std::lock_guard<std::mutex> lock(shard.accountsMutex);
-        if (nonceOutstanding(shard, /*login=*/true, submit.account,
-                             submit.nonce)) {
-            eraseHandshakeNonce(shard, /*login=*/true, submit.account,
-                                submit.nonce);
-            consumed = true;
-        }
+        consumed = shard.nonces.take(key, issued);
     }
     if (!consumed) {
         note("login-rejected:stale-nonce", submit.account);
@@ -915,10 +814,7 @@ WebServer::pendingHandshakes() const
     std::size_t total = 0;
     for (const auto &shard : accountShards_) {
         std::lock_guard<std::mutex> lock(shard->accountsMutex);
-        for (const auto &[account, vec] : shard->pendingReg)
-            total += vec.size();
-        for (const auto &[account, vec] : shard->pendingLogin)
-            total += vec.size();
+        total += shard->nonces.size();
     }
     return total;
 }
@@ -928,7 +824,7 @@ WebServer::expireHandshakes(core::Tick now)
 {
     for (const auto &shard : accountShards_) {
         std::lock_guard<std::mutex> lock(shard->accountsMutex);
-        pruneHandshakes(*shard, now);
+        shard->nonces.prune(now, policy_.handshakeTtl);
     }
 }
 
@@ -980,7 +876,7 @@ WebServer::dedupEntries() const
     std::size_t total = 0;
     for (const auto &shard : dedupShards_) {
         std::lock_guard<std::mutex> lock(shard->dedupMutex);
-        total += shard->entries.size();
+        total += shard->replies.size();
     }
     return total;
 }
@@ -991,9 +887,7 @@ WebServer::dedupEntriesFor(const std::string &from) const
     std::size_t total = 0;
     for (const auto &shard : dedupShards_) {
         std::lock_guard<std::mutex> lock(shard->dedupMutex);
-        for (const auto &entry : shard->entries)
-            if (entry.from == from)
-                ++total;
+        total += shard->replies.countOf(from);
     }
     return total;
 }

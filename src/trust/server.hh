@@ -2,9 +2,10 @@
  * @file
  * The TRUST-aware Web Server (Figs. 8-10 server side).
  *
- * Holds the CA-issued server certificate, the outstanding handshake
- * nonces, the reply cache and the frame-hash audit log the paper
- * proposes for offline detection of display tampering. The Server
+ * Holds the CA-issued server certificate, two bounded tables of one
+ * type (the outstanding handshake nonces and the reply cache) and
+ * the frame-hash audit log the paper proposes for offline detection
+ * of display tampering. The Server
  * Database of (account, user public key) bindings created at
  * registration, the per-session state of the continuous-
  * authentication protocol and the revoked-serial list are one table,
@@ -30,9 +31,9 @@
 #ifndef TRUST_TRUST_SERVER_HH
 #define TRUST_TRUST_SERVER_HH
 
+#include <algorithm>
 #include <atomic>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -80,23 +81,24 @@ struct ServerPolicy
     bool onlineFrameVerification = false;
 
     /**
-     * Abandoned-handshake bounds: a registration or login page
-     * issues a nonce that an abandoned handshake never consumes, so
-     * outstanding nonces are held in a per-shard FIFO capped at
-     * maxPendingHandshakes total (oldest evicted first, like the
-     * reply dedup cache) and expired once they are older than
-     * handshakeTtl ticks (0 disables expiry). Submits arriving
-     * after eviction are rejected as stale-nonce.
+     * Outstanding-nonce bounds: a registration or login page issues
+     * a nonce that an abandoned handshake never consumes. Each of
+     * the 16 account shards holds at most maxPendingHandshakes / 16
+     * (at least 1) live nonces and each account at most 16 per
+     * handshake kind, oldest evicted first. Nonces older than
+     * handshakeTtl ticks (0 disables expiry) are dropped when their
+     * shard next issues one, or by expireHandshakes(). A submit
+     * whose nonce is gone is rejected as stale-nonce.
      */
     std::size_t maxPendingHandshakes = 4096;
     core::Tick handshakeTtl = core::seconds(120);
 
     /**
-     * Reply/dedup-cache bounds, mirroring the handshake FIFO
-     * policy: entries expire once older than dedupTtl ticks (0
-     * disables age expiry) and each sender keeps at most
-     * maxDedupPerSender cached replies (oldest evicted first), on
-     * top of the global per-shard FIFO bound.
+     * Reply-cache bounds, the same table policy keyed by sender:
+     * replies older than dedupTtl ticks (0 disables expiry) are
+     * dropped on their shard's next lookup or insert, and each
+     * sender keeps at most maxDedupPerSender cached replies (oldest
+     * evicted first) within a 128-reply shard.
      */
     core::Tick dedupTtl = core::seconds(120);
     std::size_t maxDedupPerSender = 16;
@@ -285,50 +287,139 @@ class WebServer
     core::CounterSet counters() const;
 
   private:
-    /** One answered (from, id) pair with its original reply. */
-    struct DedupEntry
+    /**
+     * Insert-ordered rows of {key, issued, value}, bounded per key
+     * and in total: the one policy behind the handshake nonces and
+     * the reply cache. Rows are appended in issue order, so expiry
+     * and the total cap only ever look at the front. Holds no lock;
+     * each shard guards its table with its own mutex. The methods
+     * are push/lookup, not insert/find: trustlint links calls by
+     * bare name, so every std::find or vector insert in src/ would
+     * otherwise taint their parameters.
+     */
+    template <typename Value>
+    class BoundedTable
     {
-        std::string from;
-        std::uint64_t requestId = 0;
-        core::Bytes reply;
-        core::Tick seen = 0; ///< Caller time at insertion (TTL).
+      public:
+        BoundedTable(std::size_t per_key_cap, std::size_t cap)
+            : perKeyCap_(per_key_cap), cap_(cap)
+        {
+        }
+
+        /**
+         * Drop rows issued before @p now - @p ttl. A ttl of 0, or
+         * now <= ttl (untimed callers pass now = 0), expires nothing.
+         */
+        void
+        prune(core::Tick now, core::Tick ttl)
+        {
+            while (!rows_.empty() && ttl != 0 && now > ttl &&
+                   rows_.front().issued < now - ttl)
+                rows_.pop_front();
+        }
+
+        /**
+         * Append a row: first evict the key's oldest rows while the
+         * key is at its cap, then the table's oldest while the table
+         * is over its cap (which must be at least 1).
+         */
+        void
+        push(std::string key, core::Tick issued, Value value)
+        {
+            const auto any = [](const Value &) { return true; };
+            while (countOf(key) >= perKeyCap_ && take(key, any)) {
+            }
+            rows_.push_back({std::move(key), issued, std::move(value)});
+            while (rows_.size() > cap_)
+                rows_.pop_front();
+        }
+
+        /** Oldest value under @p key that satisfies @p match. */
+        template <typename Match>
+        const Value *
+        lookup(const std::string &key, Match match) const
+        {
+            for (const Row &row : rows_)
+                if (row.key == key && match(row.value))
+                    return &row.value;
+            return nullptr;
+        }
+
+        /** Remove the row lookup() would return; false if none. */
+        template <typename Match>
+        bool
+        take(const std::string &key, Match match)
+        {
+            for (auto it = rows_.begin(); it != rows_.end(); ++it) {
+                if (it->key == key && match(it->value)) {
+                    rows_.erase(it);
+                    return true;
+                }
+            }
+            return false;
+        }
+
+        std::size_t size() const { return rows_.size(); }
+
+        std::size_t
+        countOf(const std::string &key) const
+        {
+            return static_cast<std::size_t>(std::count_if(
+                rows_.begin(), rows_.end(),
+                [&key](const Row &row) { return row.key == key; }));
+        }
+
+      private:
+        struct Row
+        {
+            std::string key;
+            core::Tick issued = 0;
+            Value value;
+        };
+
+        std::deque<Row> rows_;
+        std::size_t perKeyCap_;
+        std::size_t cap_;
     };
 
-    /** One outstanding handshake nonce (bounded FIFO member). */
+    /** One outstanding handshake nonce. */
     struct PendingNonce
     {
         core::Bytes nonce; // trustlint: secret
-        core::Tick issued = 0;
     };
 
-    /** FIFO record locating a PendingNonce for eviction/expiry. */
-    struct HandshakeRef
+    /** The original reply to one of a sender's request ids. */
+    struct CachedReply
     {
-        bool login = false; ///< pendingLogin vs pendingReg.
-        std::string account;
-        core::Bytes nonce;
-        core::Tick issued = 0;
+        std::uint64_t requestId = 0;
+        core::Bytes reply;
     };
 
     /**
-     * Account-keyed state stripe: the outstanding registration/login
-     * nonces of the accounts hashing here. One account's handshake
-     * and binding changes always serialize on one shard.
+     * Account-keyed stripe: the outstanding registration and login
+     * nonces of the accounts hashing here, keyed by handshakeKey().
+     * One account's handshake and binding changes always serialize
+     * on one shard.
      */
     struct AccountShard
     {
+        explicit AccountShard(std::size_t cap)
+            : nonces(kNoncesPerAccount, cap)
+        {
+        }
         mutable std::mutex accountsMutex;
-        std::map<std::string, std::vector<PendingNonce>> pendingReg;
-        std::map<std::string, std::vector<PendingNonce>> pendingLogin;
-        /** Issue-ordered refs driving the bound + TTL eviction. */
-        std::deque<HandshakeRef> handshakeFifo;
+        BoundedTable<PendingNonce> nonces;
     };
 
-    /** Sender-keyed reply-dedup stripe (bounded FIFO, LRU-ish). */
+    /** Sender-keyed reply-cache stripe. */
     struct DedupShard
     {
+        explicit DedupShard(std::size_t per_sender)
+            : replies(per_sender, kDedupPerShard)
+        {
+        }
         mutable std::mutex dedupMutex;
-        std::deque<DedupEntry> entries;
+        BoundedTable<CachedReply> replies;
     };
 
     /** One admission lane: a virtual queue draining in real time. */
@@ -353,6 +444,8 @@ class WebServer
     };
 
     static constexpr std::size_t kAccountShards = 16;
+    /** Outstanding nonces per account and handshake kind. */
+    static constexpr std::size_t kNoncesPerAccount = 16;
     static constexpr std::size_t kDedupShards = 8;
     static constexpr std::size_t kDedupPerShard = 128;
     static constexpr std::size_t kAdmissionShards = 4;
@@ -375,9 +468,6 @@ class WebServer
     bool admit(const std::string &from, core::Tick now,
                core::Tick *queue_delay);
 
-    /** Drop dedup entries older than the TTL. Caller holds lock. */
-    void pruneDedup(DedupShard &shard, core::Tick now);
-
     /** Route one decoded-kind payload to its typed handler. */
     core::Bytes dispatch(MsgKind kind, const core::Bytes &request,
                          std::uint64_t request_id, core::Tick now);
@@ -387,30 +477,13 @@ class WebServer
 
     core::Bytes freshNonce();
 
-    /**
-     * Record one outstanding handshake nonce and apply the bound +
-     * TTL eviction policy. Caller must hold @p shard's mutex.
-     */
-    void recordHandshake(AccountShard &shard, bool login,
-                         const std::string &account,
-                         const core::Bytes &nonce, core::Tick now);
+    /** Nonce-table key of @p account's registration or login. */
+    static std::string handshakeKey(bool login,
+                                    const std::string &account);
 
-    /** Drop expired/evicted FIFO refs. Caller holds shard mutex. */
-    void pruneHandshakes(AccountShard &shard, core::Tick now);
-
-    /**
-     * True when @p nonce is still outstanding for @p account's
-     * registration (@p login false) or login handshake. Compares in
-     * constant time. Caller holds @p shard's mutex.
-     */
-    static bool nonceOutstanding(const AccountShard &shard, bool login,
-                                 const std::string &account,
-                                 const core::Bytes &nonce);
-
-    /** Remove one nonce from a shard's maps + FIFO bookkeeping. */
-    static void eraseHandshakeNonce(AccountShard &shard, bool login,
-                                    const std::string &account,
-                                    const core::Bytes &nonce);
+    /** Constant-time match of a submitted nonce against a row. */
+    static bool nonceMatches(const PendingNonce &pending,
+                             const core::Bytes &nonce);
 
     /** Build, MAC and log a content page for a session. */
     ContentPage makeContentPage(std::uint64_t session_id,

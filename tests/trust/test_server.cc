@@ -283,10 +283,39 @@ TEST(Server, AbandonedHandshakesExpireByTtl)
 TEST(Server, ConsumedHandshakesLeaveNoResidue)
 {
     // A completed registration + login consumes both nonces; nothing
-    // lingers in the pending tables (the per-account map entry is
-    // erased, not just emptied).
+    // lingers in the nonce table.
     LiveSession live(180);
     EXPECT_EQ(live.server.pendingHandshakes(), 0u);
+}
+
+TEST(Server, ConsumedHandshakeFreesItsSlot)
+{
+    // The shard cap counts live nonces only: with two slots per
+    // shard, consuming the second nonce and issuing a third must not
+    // evict the first, which is still live.
+    trust::trust::ServerPolicy policy;
+    policy.maxPendingHandshakes = 32; // 2 per account shard
+    policy.handshakeTtl = 0;
+    WebServer server("www.x.com", trustCa(), 164, 512, policy);
+
+    auto flock = makeFlock("dev-fs", 165, trustFingers()[0]);
+    const auto page1 =
+        server.handleRegistrationRequest({0, "www.x.com", "dave"});
+    const auto page2 =
+        server.handleRegistrationRequest({0, "www.x.com", "dave"});
+    const auto submit1 = flock.handleRegistrationPage(
+        page1, "dave", Bytes(64, 1), goodCapture(trustFingers()[0], 166));
+    const auto submit2 = flock.handleRegistrationPage(
+        page2, "dave", Bytes(64, 1), goodCapture(trustFingers()[0], 167));
+    ASSERT_TRUE(submit1.has_value());
+    ASSERT_TRUE(submit2.has_value());
+    ASSERT_TRUE(server.handleRegistrationSubmit(*submit2).ok);
+    (void)server.handleRegistrationRequest({0, "www.x.com", "dave"});
+    EXPECT_EQ(server.pendingHandshakes(), 2u);
+
+    const auto result = server.handleRegistrationSubmit(*submit1);
+    EXPECT_TRUE(result.ok) << result.reason;
+    EXPECT_TRUE(server.accountRegistered("dave"));
 }
 
 TEST(Server, PerAccountHandshakeBound)
