@@ -88,8 +88,7 @@ MobileDevice::enrollOwner(const fingerprint::MasterFinger &finger,
         const TouchCapture capture = captureTouch(
             screen_, event, &finger, hostRng_, tile_mm);
         if (capture.sample.covered &&
-            capture.sample.quality >=
-                flock_.config().minCaptureQuality &&
+            capture.sample.quality >= kMinCaptureQuality &&
             capture.sample.minutiae.size() >= 5)
             views.push_back(capture.sample.minutiae);
     }
@@ -100,22 +99,29 @@ MobileDevice::enrollOwner(const fingerprint::MasterFinger &finger,
     return true;
 }
 
-core::Bytes
-MobileDevice::displayFrame(const core::Bytes &page_content)
+MobileDevice::ShownPage
+MobileDevice::showPage(core::Bytes plaintext, std::uint64_t session_id)
 {
     // The host browser picks a view (zoom/scroll) to render.
     const auto views = standardViews();
-    const auto &view = views[static_cast<std::size_t>(hostRng_.uniformInt(
-        0, static_cast<std::int64_t>(views.size()) - 1))];
-    core::Bytes frame = renderFrame(page_content, view,
-                                    flock_.config().display);
+    ShownPage page{std::move(plaintext),
+                   views[static_cast<std::size_t>(hostRng_.uniformInt(
+                       0, static_cast<std::int64_t>(views.size()) - 1))],
+                   malware_.tamperFrames, session_id};
+    if (page.tampered)
+        counters_.bump("malware:frame-tampered");
+    return page;
+}
 
-    if (malware_.tamperFrames) {
+core::Bytes
+MobileDevice::frameOf(const ShownPage &page)
+{
+    core::Bytes frame = renderFrame(page.plaintext, page.view, kDisplay);
+    if (page.tampered) {
         // Malware overlays fake content: any byte change moves the
         // frame hash outside the server's expected set.
         for (std::size_t i = 0; i < 64 && i < frame.size(); ++i)
             frame[i * 7 % frame.size()] ^= 0x5a;
-        counters_.bump("malware:frame-tampered");
     }
     return frame;
 }
@@ -180,7 +186,7 @@ MobileDevice::armRetryTimer()
 {
     const double jitter =
         1.0 +
-        retryPolicy_.jitterFraction * (2.0 * hostRng_.uniform() - 1.0);
+        RetryPolicy::kJitterFraction * (2.0 * hostRng_.uniform() - 1.0);
     const auto wait = static_cast<core::Tick>(
         static_cast<double>(pending_.nextTimeout) * jitter);
     const std::uint64_t op_id = pending_.opId;
@@ -201,7 +207,7 @@ MobileDevice::onOpTimeout(std::uint64_t op_id)
         lastError_ = OpError::RetryExhausted;
         if (pending_.await == Await::LoginReplyMsg ||
             pending_.await == Await::PageReplyMsg)
-            needsResume_[pending_.domain] = true;
+            domains_[pending_.domain].needsResume = true;
         pending_ = PendingOp{};
         return;
     }
@@ -233,7 +239,7 @@ MobileDevice::startRegistration(const std::string &domain,
     pending_.await = Await::RegistrationPageMsg;
     pending_.domain = domain;
     pending_.account = account;
-    accounts_[domain] = account;
+    domains_[domain].account = account;
     RegistrationRequest request;
     request.requestId = nextRequestId();
     request.domain = domain;
@@ -247,15 +253,15 @@ MobileDevice::startLoginInternal(const std::string &domain,
                                  bool resume)
 {
     TRUST_ASSERT(network_, "device not attached to a network");
-    auto it = registered_.find(domain);
-    if (it == registered_.end() || !it->second) {
+    auto it = domains_.find(domain);
+    if (it == domains_.end() || !it->second.registered) {
         counters_.bump("login-without-registration");
         return;
     }
     pending_ = PendingOp{};
     pending_.await = Await::LoginPageMsg;
     pending_.domain = domain;
-    pending_.account = accounts_[domain];
+    pending_.account = it->second.account;
     pending_.resume = resume;
     LoginRequest request;
     request.requestId = nextRequestId();
@@ -275,8 +281,8 @@ MobileDevice::startLogin(const std::string &domain)
 bool
 MobileDevice::sessionNeedsResume(const std::string &domain) const
 {
-    auto it = needsResume_.find(domain);
-    return it != needsResume_.end() && it->second;
+    auto it = domains_.find(domain);
+    return it != domains_.end() && it->second.needsResume;
 }
 
 void
@@ -289,8 +295,9 @@ void
 MobileDevice::adoptTransferredIdentity(const std::string &domain,
                                        const std::string &account)
 {
-    registered_[domain] = true;
-    accounts_[domain] = account;
+    DomainState &state = domains_[domain];
+    state.registered = true;
+    state.account = account;
     counters_.bump("identity-adopted");
 }
 
@@ -343,7 +350,7 @@ MobileDevice::handleMessage(const net::Message &message)
         noteExchangeEnd(result->ok ? "registration-ok"
                                    : "registration-failed");
         if (result->ok) {
-            registered_[result->domain] = true;
+            domains_[result->domain].registered = true;
             counters_.bump("registration-complete");
             lastError_ = OpError::None;
         } else {
@@ -391,20 +398,19 @@ MobileDevice::handleMessage(const net::Message &message)
             lastError_ = OpError::BadReply;
             return;
         }
-        const auto plain = flock_.decryptPageContent(
-            page->domain, page->pageContent);
+        auto plain = flock_.decryptPageContent(page->domain,
+                                               page->pageContent);
         if (!plain) {
             counters_.bump("content-page-decrypt-failed");
             lastError_ = OpError::BadReply;
             return;
         }
         noteExchangeEnd("content-page");
-        currentPage_[page->domain] = *plain;
-        currentFrame_[page->domain] = displayFrame(*plain);
-        sessionIds_[page->domain] = page->sessionId;
+        DomainState &state = domains_[page->domain];
+        state.shown = showPage(std::move(*plain), page->sessionId);
+        state.needsResume = false;
         counters_.bump("content-page-accepted");
         lastError_ = OpError::None;
-        needsResume_[page->domain] = false;
         pending_ = PendingOp{};
         maybeForgeRequest();
         break;
@@ -471,10 +477,9 @@ MobileDevice::completeRegistrationTouch(
     // tile; scan a wider window than an incidental tap.
     const TouchCapture capture =
         captureTouch(screen_, event, f, hostRng_, 6.0);
-    const core::Bytes frame =
-        displayFrame(pending_.regPage->pageContent);
     const auto submit = flock_.handleRegistrationPage(
-        *pending_.regPage, pending_.account, frame, capture.sample,
+        *pending_.regPage, pending_.account,
+        frameOf(showPage(pending_.regPage->pageContent)), capture.sample,
         /*now=*/0, nextRequestId());
     if (!submit) {
         counters_.bump("registration-touch-rejected");
@@ -492,11 +497,10 @@ MobileDevice::completeLoginTouch(const touch::TouchEvent &event,
 {
     const TouchCapture capture =
         captureTouch(screen_, event, f, hostRng_, 6.0);
-    const core::Bytes frame =
-        displayFrame(pending_.loginPage->pageContent);
     const auto submit = flock_.handleLoginPage(
-        *pending_.loginPage, frame, capture.sample, nextRequestId(),
-        pending_.resume);
+        *pending_.loginPage,
+        frameOf(showPage(pending_.loginPage->pageContent)),
+        capture.sample, nextRequestId(), pending_.resume);
     if (!submit) {
         counters_.bump("login-touch-rejected");
         pending_ = PendingOp{};
@@ -513,8 +517,8 @@ MobileDevice::applyRiskPolicy()
     if (!policy_.autoLogoutOnHardFailure ||
         !flock_.riskHardFailure())
         return;
-    for (auto &[domain, page] : currentPage_) {
-        if (flock_.sessionActive(domain)) {
+    for (const auto &[domain, state] : domains_) {
+        if (state.shown && flock_.sessionActive(domain)) {
             flock_.endSession(domain);
             counters_.bump("auto-logout");
         }
@@ -536,16 +540,16 @@ MobileDevice::onTouch(const touch::TouchEvent &event,
       case Await::Nothing: {
         // Free navigation: pick the first live session and issue an
         // authenticated page request for the touched element.
-        for (auto &[domain, page] : currentPage_) {
-            if (!flock_.sessionActive(domain))
+        for (const auto &[domain, state] : domains_) {
+            if (!state.shown || !flock_.sessionActive(domain))
                 continue;
             const TouchCapture capture =
                 captureTouch(screen_, event, finger, hostRng_);
             const std::string action =
                 event.target.empty() ? "tap" : event.target;
             const auto request = flock_.makePageRequest(
-                domain, action, currentFrame_[domain],
-                capture.sample, nextRequestId());
+                domain, action, frameOf(*state.shown), capture.sample,
+                nextRequestId());
             applyRiskPolicy();
             if (!request || !flock_.sessionActive(domain)) {
                 counters_.bump("page-request-unavailable");
@@ -581,15 +585,14 @@ MobileDevice::maybeForgeRequest()
     // Malware on the host knows account/session ids (it can read the
     // browser) but NOT the session key inside FLock: its MAC is
     // garbage and its risk field is whatever it claims.
-    for (auto &[domain, session_id] : sessionIds_) {
+    for (const auto &[domain, state] : domains_) {
+        if (!state.shown)
+            continue;
         PageRequest forged;
         forged.domain = domain;
         // Malware can read the account string off the host browser.
-        auto account_it = accounts_.find(domain);
-        forged.account = account_it != accounts_.end()
-                             ? account_it->second
-                             : "victim";
-        forged.sessionId = session_id;
+        forged.account = state.account;
+        forged.sessionId = state.shown->sessionId;
         forged.nonce = hostRng_.next() % 2 ? core::Bytes(16, 0)
                                            : core::Bytes{};
         forged.action = "transfer-funds";
@@ -605,8 +608,8 @@ MobileDevice::maybeForgeRequest()
 bool
 MobileDevice::registrationComplete(const std::string &domain) const
 {
-    auto it = registered_.find(domain);
-    return it != registered_.end() && it->second;
+    auto it = domains_.find(domain);
+    return it != domains_.end() && it->second.registered;
 }
 
 bool

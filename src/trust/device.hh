@@ -56,11 +56,12 @@ struct MalwareProfile
  */
 struct RetryPolicy
 {
+    /** Uniform +/- fraction applied to each timeout (desyncs flows). */
+    static constexpr double kJitterFraction = 0.2;
+
     core::Tick initialTimeout = core::milliseconds(250);
     double backoffFactor = 2.0;
     core::Tick maxTimeout = core::milliseconds(4000);
-    /** Uniform +/- fraction applied to each timeout (desyncs flows). */
-    double jitterFraction = 0.2;
     int maxAttempts = 8;
 
     /**
@@ -224,8 +225,29 @@ class MobileDevice
         bool resume = false; ///< Login runs as a session resumption.
     };
 
-    /** Render (and possibly tamper) the frame the user looks at. */
-    core::Bytes displayFrame(const core::Bytes &page_content);
+    /** A page on screen, as the host drew it. */
+    struct ShownPage
+    {
+        core::Bytes plaintext;
+        ViewTransform view;    ///< Zoom/scroll the host picked.
+        bool tampered = false; ///< Malware overlaid the frame.
+        std::uint64_t sessionId = 0;
+    };
+
+    /** Host browser state for one domain. */
+    struct DomainState
+    {
+        std::string account;
+        bool registered = false;
+        bool needsResume = false; ///< Session lost an exchange to retries.
+        std::optional<ShownPage> shown; ///< Live session's current page.
+    };
+
+    /** Put a page on screen: pick a view; malware may overlay it. */
+    ShownPage showPage(core::Bytes plaintext, std::uint64_t session_id = 0);
+
+    /** Render @p page's frame; runs only when FLock hashes it. */
+    static core::Bytes frameOf(const ShownPage &page);
 
     void handleMessage(const net::Message &message);
     void completeRegistrationTouch(const touch::TouchEvent &event,
@@ -271,19 +293,11 @@ class MobileDevice
     net::Network *network_ = nullptr;
 
     PendingOp pending_;
-    std::map<std::string, bool> registered_;
-    std::map<std::string, std::string> accounts_; ///< domain -> account.
-    /** Per-domain current page plaintext (host browser state). */
-    std::map<std::string, core::Bytes> currentPage_;
-    /** Frame shown for the current page (repeater sees this). */
-    std::map<std::string, core::Bytes> currentFrame_;
-    std::map<std::string, std::uint64_t> sessionIds_;
+    std::map<std::string, DomainState> domains_;
     RetryPolicy retryPolicy_;
     OpError lastError_ = OpError::None;
     std::uint64_t lastRequestId_ = 0;
     std::uint64_t lastOpId_ = 0;
-    /** Domains whose session lost an exchange to retry exhaustion. */
-    std::map<std::string, bool> needsResume_;
     core::CounterSet counters_;
 };
 

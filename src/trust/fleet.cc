@@ -92,7 +92,7 @@ Fleet::Fleet(const FleetConfig &config, FleetHooks hooks)
         ch.parts.emplace(stageDevice(
             *ch.behavior, config_.sensorTiles, config_.tileSideMm,
             ch.seedBase + 2, ch.name + "-flock", ca_->rootKey(),
-            ch.seedBase + 3, config_.flockConfig, config_.rsaBits));
+            ch.seedBase + 3, config_.rsaBits));
     });
 
     // Certificate issue is the one provisioning step with shared
@@ -154,12 +154,10 @@ Fleet::startServer(std::size_t index,
     auto server =
         adopted ? std::make_unique<WebServer>(
                       domain, *ca_, std::move(*adopted), seed,
-                      config_.rsaBits, config_.serverPolicy,
-                      config_.flockConfig.display)
+                      config_.rsaBits, config_.serverPolicy)
                 : std::make_unique<WebServer>(
                       domain, *ca_, seed, config_.rsaBits,
-                      config_.serverPolicy,
-                      config_.flockConfig.display);
+                      config_.serverPolicy);
     if (config_.storage) {
         // Durable tier: recover whatever a previous Fleet (or a
         // crash) left in this server's log, then log every new
@@ -394,8 +392,7 @@ Storm::runLossWave()
         staged[i].emplace(stageDevice(
             *ch.behavior, fc.sensorTiles, fc.tileSideMm,
             ch.seedBase + 16, ch.name + "-flock-r",
-            fleet_.ca_->rootKey(), ch.seedBase + 17, fc.flockConfig,
-            fc.rsaBits));
+            fleet_.ca_->rootKey(), ch.seedBase + 17, fc.rsaBits));
     });
     fleet_.mergeAuditBuffers();
     for (int hit : thief_hits)
@@ -458,8 +455,7 @@ Storm::runUpgradeDay()
         staged[static_cast<std::size_t>(ch.index)].emplace(stageDevice(
             *ch.behavior, fc.sensorTiles, fc.tileSideMm,
             ch.seedBase + 24, ch.name + "-flock-u",
-            fleet_.ca_->rootKey(), ch.seedBase + 25, fc.flockConfig,
-            fc.rsaBits));
+            fleet_.ca_->rootKey(), ch.seedBase + 25, fc.rsaBits));
     });
     fleet_.mergeAuditBuffers();
 

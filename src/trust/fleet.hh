@@ -48,7 +48,6 @@ struct FleetConfig
     double tileSideMm = 7.0;
     std::size_t rsaBits = 512;
     ServerPolicy serverPolicy;
-    FlockConfig flockConfig;
     net::LatencyModel latency;
 
     /**

@@ -16,6 +16,23 @@ namespace {
 /** Modeled fingerprint-processor time for one template match. */
 constexpr core::Tick kMatchLatency = core::milliseconds(3);
 
+/** Matcher settings for continuous opportunistic verification. */
+constexpr fingerprint::MatchParams kMatchParams{};
+
+/**
+ * Stricter matcher settings for explicit authentication events
+ * (unlock, registration, login, identity-transfer authorization)
+ * where a false accept grants real privileges. They trade a higher
+ * per-attempt FRR (the user just presses again) for a much lower
+ * FAR.
+ */
+constexpr fingerprint::MatchParams kStrictMatchParams{
+    .minPairedFloor = 7, .minVotes = 18, .acceptThreshold = 0.50};
+
+constexpr int kMinMatchableMinutiae = 6; ///< Evidence floor for matching.
+constexpr int kRiskWindow = 8;           ///< n of the k-of-n policy.
+constexpr int kRiskRequiredMatches = 2;  ///< k of the k-of-n policy.
+
 } // namespace
 
 FlockModule::FlockModule(std::string device_id,
@@ -24,7 +41,7 @@ FlockModule::FlockModule(std::string device_id,
     : deviceId_(std::move(device_id)), caKey_(std::move(ca_key)),
       config_(config), rng_(seed),
       deviceKeys_(crypto::rsaGenerate(config.rsaBits, rng_)),
-      risk_(config.riskWindow, config.riskRequiredMatches)
+      risk_(kRiskWindow, kRiskRequiredMatches)
 {
     busyTime_ += cryptoModel_.rsaKeygen1024;
 }
@@ -49,7 +66,7 @@ FlockModule::enrollFinger(
         fingerprint::FingerprintTemplate t(view);
         // Pay the pair-indexing cost once here so every later match
         // (continuous auth runs thousands) reuses the memoized index.
-        t.pairIndex(config_.matchParams);
+        t.pairIndex(kMatchParams);
         templates.push_back(std::move(t));
     }
     fingers_.push_back(std::move(templates));
@@ -71,8 +88,7 @@ FlockModule::matchesFinger(const CaptureSample &capture, int finger,
     const auto &views = fingers_[static_cast<std::size_t>(finger)];
     return fingerprint::matchBestTemplate(
                views, capture.minutiae,
-               strict ? config_.strictMatchParams
-                      : config_.matchParams)
+               strict ? kStrictMatchParams : kMatchParams)
         .accepted;
 }
 
@@ -80,8 +96,7 @@ std::vector<FingerMatch>
 FlockModule::matchAll(const CaptureSample &capture, bool strict) const
 {
     TRUST_SPAN("flock/match");
-    const auto &params =
-        strict ? config_.strictMatchParams : config_.matchParams;
+    const auto &params = strict ? kStrictMatchParams : kMatchParams;
 
     // Flatten (finger, view) so one batch covers every enrolled
     // template; the query-side pair features are built once inside
@@ -116,7 +131,7 @@ FlockModule::firstMatchingFinger(const CaptureSample &capture,
 bool
 FlockModule::verifyCapture(const CaptureSample &capture) const
 {
-    if (!capture.covered || capture.quality < config_.minCaptureQuality)
+    if (!capture.covered || capture.quality < kMinCaptureQuality)
         return false;
     return firstMatchingFinger(capture, /*strict=*/true) >= 0;
 }
@@ -128,10 +143,10 @@ FlockModule::processTouch(const CaptureSample &capture)
     TouchOutcome outcome;
     if (!capture.covered) {
         outcome = TouchOutcome::NotCovered;
-    } else if (capture.quality < config_.minCaptureQuality ||
+    } else if (capture.quality < kMinCaptureQuality ||
                capture.minutiae.size() <
                    static_cast<std::size_t>(
-                       config_.minMatchableMinutiae)) {
+                       kMinMatchableMinutiae)) {
         // Too little ridge evidence to judge either way: treat as a
         // quality discard, not as contradicting evidence. When the
         // loss is attributable to sensor hardware faults the capture
@@ -215,7 +230,7 @@ FlockModule::handleRegistrationPage(const RegistrationPage &page,
     // The registration touch must carry a usable fingerprint: this
     // is the template that will own the binding.
     if (!capture.covered ||
-        capture.quality < config_.minCaptureQuality ||
+        capture.quality < kMinCaptureQuality ||
         capture.minutiae.size() < 5)
         return std::nullopt;
 
@@ -291,7 +306,7 @@ FlockModule::handleLoginPage(const LoginPage &page,
 
     // The login touch must verify against the bound finger.
     if (!capture.covered ||
-        capture.quality < config_.minCaptureQuality)
+        capture.quality < kMinCaptureQuality)
         return std::nullopt;
     busyTime_ += kMatchLatency;
     if (!matchesFinger(capture, binding.fingerIndex, /*strict=*/true))

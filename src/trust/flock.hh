@@ -25,28 +25,16 @@
 
 namespace trust::trust {
 
+/** Fig. 6 quality gate: captures below it carry no evidence. */
+inline constexpr double kMinCaptureQuality = 0.45;
+
+/** The panel every device renders on and every server audits. */
+inline constexpr hw::DisplaySpec kDisplay{};
+
 /** Configuration of a FLock module instance. */
 struct FlockConfig
 {
-    /** Matcher settings for continuous opportunistic verification. */
-    fingerprint::MatchParams matchParams;
-
-    /**
-     * Stricter matcher settings for explicit authentication events
-     * (unlock, registration, login, identity-transfer authorization)
-     * where a false accept grants real privileges. Defaults trade
-     * a higher per-attempt FRR (the user just presses again) for a
-     * much lower FAR.
-     */
-    fingerprint::MatchParams strictMatchParams{
-        .minPairedFloor = 7, .minVotes = 18, .acceptThreshold = 0.50};
-
-    double minCaptureQuality = 0.45; ///< Fig. 6 quality gate.
-    int minMatchableMinutiae = 6;    ///< Evidence floor for matching.
-    int riskWindow = 8;              ///< n of the k-of-n policy.
-    int riskRequiredMatches = 2;     ///< k of the k-of-n policy.
-    std::size_t rsaBits = 512;       ///< Key size (sim default).
-    hw::DisplaySpec display;
+    std::size_t rsaBits = 512; ///< Key size (sim default).
 };
 
 /** One enrolled view's score against a capture (see matchAll). */
@@ -91,7 +79,6 @@ class FlockModule
     {
         return deviceKeys_.pub;
     }
-    const FlockConfig &config() const { return config_; }
 
     /** Install the CA-issued device certificate. */
     void installDeviceCertificate(const crypto::Certificate &cert);

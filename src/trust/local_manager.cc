@@ -64,35 +64,21 @@ LocalIdentityManager::processTouch(
     return outcome;
 }
 
-// Pre-defined responses when the risk policies fire.
-
-/** Lock when the k-of-n window is violated. */
-constexpr bool kLockOnWindowViolation = true;
-
-/** Lock immediately on repeated explicit match rejections. */
-constexpr bool kLockOnHardFailure = true;
-
-/** Explicit rejections within a window that count as hard. */
-constexpr int kHardFailureRejects = 3;
-
+// Pre-defined responses when the risk policies fire: lock on
+// repeated explicit match rejections, else on a k-of-n violation.
 void
 LocalIdentityManager::applyPolicy()
 {
     if (state_ != LockState::Unlocked)
         return;
-    const auto risk = flock_.risk();
-    if (kLockOnHardFailure && risk.rejected >= kHardFailureRejects &&
-        risk.rejected > 2 * risk.matched) {
-        state_ = LockState::Locked;
-        counters_.bump("lock:hard-failure");
-        flock_.resetRisk();
+    const char *lock = flock_.riskHardFailure() ? "lock:hard-failure"
+                       : flock_.riskViolated()  ? "lock:window-violation"
+                                                : nullptr;
+    if (!lock)
         return;
-    }
-    if (kLockOnWindowViolation && flock_.riskViolated()) {
-        state_ = LockState::Locked;
-        counters_.bump("lock:window-violation");
-        flock_.resetRisk();
-    }
+    state_ = LockState::Locked;
+    counters_.bump(lock);
+    flock_.resetRisk();
 }
 
 } // namespace trust::trust

@@ -28,7 +28,7 @@ Ecosystem::addServer(const std::string &domain)
 {
     auto server = std::make_unique<WebServer>(
         domain, *ca_, nextSeed_++, config_.rsaBits,
-        config_.serverPolicy, config_.flockConfig.display);
+        config_.serverPolicy);
     WebServer &ref = *server;
     network_.attach(domain, [this, &ref](const net::Message &message) {
         // The sender address keys the server's duplicate-suppression
@@ -52,8 +52,7 @@ Ecosystem::addDevice(const std::string &name,
     const std::uint64_t device_seed = nextSeed_++;
     DeviceParts parts = stageDevice(
         behavior, config_.sensorTiles, config_.tileSideMm, screen_seed,
-        name + "-flock", ca_->rootKey(), flock_seed,
-        config_.flockConfig, config_.rsaBits);
+        name + "-flock", ca_->rootKey(), flock_seed, config_.rsaBits);
     certifyFlock(*ca_, parts.flock);
 
     auto device = std::make_unique<MobileDevice>(
@@ -92,15 +91,13 @@ DeviceParts
 stageDevice(const touch::UserBehavior &behavior, int tiles,
             double tile_side_mm, std::uint64_t screen_seed,
             std::string flock_id, const crypto::RsaPublicKey &ca_key,
-            std::uint64_t flock_seed, FlockConfig flock_config,
-            std::size_t rsa_bits)
+            std::uint64_t flock_seed, std::size_t rsa_bits)
 {
     hw::BiometricTouchscreen screen =
         makeOptimizedScreen(behavior, tiles, tile_side_mm, screen_seed);
-    flock_config.rsaBits = rsa_bits;
     return {std::move(screen),
             FlockModule(std::move(flock_id), ca_key, flock_seed,
-                        flock_config)};
+                        {.rsaBits = rsa_bits})};
 }
 
 void

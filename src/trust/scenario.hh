@@ -34,7 +34,6 @@ struct EcosystemConfig
     double tileSideMm = 7.0;   ///< Tile side (mm).
     std::size_t rsaBits = 512; ///< Key size everywhere (sim speed).
     ServerPolicy serverPolicy;
-    FlockConfig flockConfig;
     net::LatencyModel latency;
 };
 
@@ -105,16 +104,15 @@ struct DeviceParts
 
 /**
  * Provisioning step 1 (stage): place the screen's sensor tiles for
- * @p behavior and generate the FLock module's keys, with
- * @p flock_config's key size overridden by @p rsa_bits. Touches no
- * shared state, so harnesses run it in parallel across devices.
+ * @p behavior and generate the FLock module's @p rsa_bits keys.
+ * Touches no shared state, so harnesses run it in parallel across
+ * devices.
  */
 DeviceParts stageDevice(const touch::UserBehavior &behavior, int tiles,
                         double tile_side_mm, std::uint64_t screen_seed,
                         std::string flock_id,
                         const crypto::RsaPublicKey &ca_key,
-                        std::uint64_t flock_seed,
-                        FlockConfig flock_config, std::size_t rsa_bits);
+                        std::uint64_t flock_seed, std::size_t rsa_bits);
 
 /**
  * Provisioning step 2 (certify): the CA issues a FlockDevice

@@ -7,6 +7,7 @@
 #include "core/obs/obs.hh"
 #include "crypto/hmac.hh"
 #include "crypto/sha256.hh"
+#include "trust/flock.hh"
 #include "trust/frames.hh"
 #include "trust/store.hh"
 
@@ -46,11 +47,11 @@ WebServer::admissionShard(const std::string &from)
 WebServer::WebServer(std::string domain,
                      crypto::CertificateAuthority &ca,
                      std::uint64_t seed, std::size_t rsa_bits,
-                     ServerPolicy policy, hw::DisplaySpec display)
+                     ServerPolicy policy)
     : domain_(std::move(domain)), caKey_(ca.rootKey()), rng_(seed),
       keys_(crypto::rsaGenerate(rsa_bits, rng_)),
       cert_(ca.issue(domain_, crypto::CertRole::WebServer, keys_.pub)),
-      policy_(policy), display_(display),
+      policy_(policy),
       frameHash_(hw::FrameHashEngine::Algorithm::Sha256),
       ownStore_(ownStorage_, "server"), store_(&ownStore_)
 {
@@ -60,11 +61,10 @@ WebServer::WebServer(std::string domain,
 WebServer::WebServer(std::string domain,
                      const crypto::CertificateAuthority &ca,
                      crypto::Certificate cert, std::uint64_t seed,
-                     std::size_t rsa_bits, ServerPolicy policy,
-                     hw::DisplaySpec display)
+                     std::size_t rsa_bits, ServerPolicy policy)
     : domain_(std::move(domain)), caKey_(ca.rootKey()), rng_(seed),
       keys_(crypto::rsaGenerate(rsa_bits, rng_)),
-      cert_(std::move(cert)), policy_(policy), display_(display),
+      cert_(std::move(cert)), policy_(policy),
       frameHash_(hw::FrameHashEngine::Algorithm::Sha256),
       ownStore_(ownStorage_, "server"), store_(&ownStore_)
 {
@@ -657,7 +657,7 @@ WebServer::handlePageRequest(const PageRequest &request)
     // pays one render + hash per view on each request.
     if (policy_.onlineFrameVerification) {
         const auto expected = expectedFrameHashes(
-            pageFor(session->currentTag), display_, frameHash_);
+            pageFor(session->currentTag), kDisplay, frameHash_);
         const bool hash_known =
             std::find(expected.begin(), expected.end(),
                       request.frameHash) != expected.end();
@@ -848,7 +848,7 @@ WebServer::auditFrameHashes() const
         const auto [it, fresh] = expected.try_emplace(tag);
         if (fresh)
             it->second =
-                expectedFrameHashes(pageFor(tag), display_, frameHash_);
+                expectedFrameHashes(pageFor(tag), kDisplay, frameHash_);
         if (std::find(it->second.begin(), it->second.end(),
                       frame_hash) == it->second.end())
             ++mismatches;

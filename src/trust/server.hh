@@ -129,8 +129,7 @@ class WebServer
      */
     WebServer(std::string domain, crypto::CertificateAuthority &ca,
               std::uint64_t seed, std::size_t rsa_bits = 512,
-              ServerPolicy policy = {},
-              hw::DisplaySpec display = {});
+              ServerPolicy policy = {});
 
     /**
      * Restart constructor: adopt a certificate the CA issued to a
@@ -143,8 +142,7 @@ class WebServer
     WebServer(std::string domain,
               const crypto::CertificateAuthority &ca,
               crypto::Certificate cert, std::uint64_t seed,
-              std::size_t rsa_bits = 512, ServerPolicy policy = {},
-              hw::DisplaySpec display = {});
+              std::size_t rsa_bits = 512, ServerPolicy policy = {});
 
     const std::string &domain() const { return domain_; }
     const crypto::Certificate &certificate() const { return cert_; }
@@ -513,7 +511,6 @@ class WebServer
     crypto::RsaKeyPair keys_;
     crypto::Certificate cert_;
     ServerPolicy policy_;
-    hw::DisplaySpec display_;
     hw::FrameHashEngine frameHash_;
 
     std::vector<std::unique_ptr<AccountShard>> accountShards_;

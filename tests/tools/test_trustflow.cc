@@ -203,6 +203,9 @@ int Beta::score(int x, int y) { return x + y; }
     EXPECT_EQ(index.functions[alpha[0]].def.params.size(), 1u);
     // Unknown qualifier falls back to every bare-name candidate.
     EXPECT_EQ(index.resolve("Gamma", "score").size(), 2u);
+    // The standard library never links to repo functions.
+    EXPECT_TRUE(index.resolve("std", "score").empty());
+    EXPECT_TRUE(index.resolve("std::chrono", "score").empty());
 }
 
 TEST(TrustflowIndex, RecursionReachesAFixpointWithoutLooping)

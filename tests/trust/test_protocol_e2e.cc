@@ -337,8 +337,117 @@ TEST(ProtocolE2E, MixedSessionAuditFlagsOnlyTamperedFrames)
     EXPECT_LT(flagged, server.auditLogSize());
     EXPECT_EQ(flagged, sent - 1);
     // Every tampered frame but the one still on screen was submitted.
-    EXPECT_EQ(flagged,
-              device.counters().get("malware:frame-tampered") - 1);
+    const std::uint64_t tampered =
+        device.counters().get("malware:frame-tampered");
+    EXPECT_EQ(flagged, tampered - 1);
+
+    // Third part: the host turns clean again. The page on screen was
+    // drawn tampered, so the first request after the switch still
+    // carries its tampered frame; every later one is clean.
+    device.setMalware(MalwareProfile{});
+    const std::uint64_t sent_mid =
+        device.counters().get("page-request-sent");
+    const std::uint64_t accepted_mid =
+        server.counters().get("request-accepted");
+    const auto clean_touches = trust::touch::generateSession(
+        behavior, rng, eco.queue().now() + trust::core::seconds(1), 6);
+    for (const auto &event : clean_touches) {
+        device.onTouch(event, &trustFingers()[0]);
+        eco.settle();
+    }
+    const std::uint64_t sent_clean =
+        device.counters().get("page-request-sent") - sent_mid;
+    ASSERT_GT(sent_clean, 1u);
+    ASSERT_EQ(server.counters().get("request-accepted") - accepted_mid,
+              sent_clean);
+    EXPECT_EQ(device.counters().get("malware:frame-tampered"), tampered);
+    EXPECT_EQ(server.auditFrameHashes(), flagged + 1);
+    EXPECT_EQ(server.auditFrameHashes(), tampered);
+}
+
+TEST(ProtocolE2E, OneDeviceTwoDomainsKeepsSessionsApart)
+{
+    EcosystemConfig config;
+    config.seed = 9870;
+    Ecosystem eco(config);
+    auto &bank = eco.addServer("www.bank.com");
+    auto &mail = eco.addServer("mail.example.com");
+    const auto behavior = standardBehavior(9);
+    auto &device =
+        eco.addDevice("phone-d", behavior, trustFingers()[0]);
+
+    // Register and log in on both domains, with a different account
+    // on each, before any browsing.
+    Rng rng(9871);
+    ASSERT_TRUE(runBrowsingSession(eco.queue(), device, bank, behavior,
+                                   trustFingers()[0], rng, 0,
+                                   "alice-bank")
+                    .loggedIn);
+    ASSERT_TRUE(runBrowsingSession(eco.queue(), device, mail, behavior,
+                                   trustFingers()[0], rng, 0,
+                                   "alice-mail")
+                    .loggedIn);
+    // Both servers number sessions from 1. A second bank login moves
+    // the bank id to 2, which names no session on mail.
+    const std::uint64_t bank_logins =
+        bank.counters().get("login-accepted");
+    for (int attempt = 0;
+         attempt < 16 &&
+         bank.counters().get("login-accepted") == bank_logins;
+         ++attempt) {
+        device.startLogin("www.bank.com");
+        eco.settle();
+        device.onTouch(trust::trust::criticalTouch(device),
+                       &trustFingers()[0]);
+        eco.settle();
+    }
+    ASSERT_EQ(bank.counters().get("login-accepted"), bank_logins + 1);
+    ASSERT_TRUE(device.sessionActive("www.bank.com"));
+    ASSERT_TRUE(device.sessionActive("mail.example.com"));
+
+    // Free navigation goes to the first live domain in name order.
+    const std::uint64_t bank_accepted =
+        bank.counters().get("request-accepted");
+    const auto touches = trust::touch::generateSession(
+        behavior, rng, eco.queue().now() + trust::core::seconds(1), 4);
+    for (const auto &event : touches) {
+        device.onTouch(event, &trustFingers()[0]);
+        eco.settle();
+    }
+    const std::uint64_t sent = device.counters().get("page-request-sent");
+    ASSERT_GT(sent, 0u);
+    EXPECT_EQ(mail.counters().get("request-accepted"), sent);
+    EXPECT_EQ(bank.counters().get("request-accepted"), bank_accepted);
+
+    // Malware forges one request per domain holding a session id on
+    // every accepted page; each carries that domain's own session id
+    // and account, so each server rejects it on the MAC alone.
+    MalwareProfile malware;
+    malware.forgeRequests = true;
+    device.setMalware(malware);
+    const std::uint64_t pages_before = device.pagesReceived();
+    const auto forged_touches = trust::touch::generateSession(
+        behavior, rng, eco.queue().now() + trust::core::seconds(1), 4);
+    for (const auto &event : forged_touches) {
+        device.onTouch(event, &trustFingers()[0]);
+        eco.settle();
+    }
+    const std::uint64_t pages = device.pagesReceived() - pages_before;
+    ASSERT_GT(pages, 0u);
+    EXPECT_EQ(device.counters().get("malware:request-forged"),
+              2 * pages);
+    for (const auto *server : {&bank, &mail}) {
+        EXPECT_EQ(server->counters().get("request-rejected:bad-mac"),
+                  pages);
+        EXPECT_EQ(server->counters().get("request-rejected:no-session"),
+                  0u);
+        EXPECT_EQ(
+            server->counters().get("request-rejected:account-mismatch"),
+            0u);
+    }
+    EXPECT_EQ(device.counters().get("unmatched-error-reply"), 2 * pages);
+    EXPECT_TRUE(device.sessionActive("www.bank.com"));
+    EXPECT_TRUE(device.sessionActive("mail.example.com"));
 }
 
 TEST(ProtocolE2E, OnlineVerificationAcceptsCleanDevice)

@@ -533,12 +533,17 @@ SymbolIndex::resolve(const std::string &qualifier,
                      const std::string &name) const
 {
     if (!qualifier.empty()) {
+        // The standard library is never a repo namespace: std::find
+        // must not link to a repo function that happens to be named
+        // find.
+        if (qualifier == "std" || qualifier.rfind("std::", 0) == 0)
+            return {};
         const auto it = byQualified.find(qualifier + "::" + name);
         if (it != byQualified.end())
             return it->second;
-        // Unknown qualifier (std::, a namespace alias, ...): fall
-        // through to bare-name linkage, mirroring how the lexer
-        // cannot tell namespaces from classes.
+        // Unknown qualifier (a namespace alias, ...): fall through to
+        // bare-name linkage, mirroring how the lexer cannot tell
+        // namespaces from classes.
     }
     const auto it = byName.find(name);
     if (it != byName.end())
